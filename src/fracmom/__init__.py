@@ -1,14 +1,12 @@
 """Adaptive signed fractional-power location estimation toolkit."""
 
-from .basis import AlphaParam, ESTIMATOR_BAND, SWEEP_BAND, SmoothingConfig, \
-    basis_location_derivative, basis_value, collision_roots, exponent, \
-    second_exponent
+from .basis import ESTIMATOR_BAND, SWEEP_BAND, basis_value, collision_roots, \
+    exponent, second_exponent
 from .baselines import BASELINE_IDS, huber_location, median_of_means, \
     run_baseline, trimmed_mean, winsorized_mean
 from .calibration import CalibrationResult, EntropyDiagnostic, \
     calibrate_grid_mc, calibrate_oracle, calibrate_plugin, \
-    calibrate_table_lookup, entropy_diagnostic, load_alpha_table, \
-    topographic_coords
+    entropy_diagnostic, topographic_coords
 from .distributions import DistributionSpec, ENTROPY_COEFF_MAX, ShapeSummary, \
     differential_entropy, gg_kurtosis, make_rng, parse_spec, sample, \
     shape_summary
@@ -16,11 +14,10 @@ from .efficiency import CorrelantSystem, G2Curve, alpha_grid, \
     build_correlant_system, g2_classical, g2_closed_form, g2_sweep, \
     g2_symmetric_power_endpoint, g2_with_flag
 from .errors import AllGridDegenerate, BracketFailure, DegenerateRatio, \
-    DegenerateSample, FracmomError, NonConvergence, NonFiniteInput, \
-    NonFiniteMoment, NonPositiveDenominator, QuadratureError, SingularSystem, \
-    SmallSample
-from .estimators import EstimateResult, SolverConfig, damped_newton_scalar, \
-    estimate_full, estimate_ols, estimate_proxy
+    DegenerateSample, FracmomError, NonFiniteInput, NonFiniteMoment, \
+    NonPositiveDenominator, QuadratureError, SingularSystem, SmallSample
+from .estimators import EstimateResult, estimate_full, estimate_ols, \
+    estimate_proxy
 from .moments import FractionalMomentSet, MomentEstimatorConfig, abs_moment, \
     empirical_moments, quadrature_moment, signed_moment, theoretical_moments
 from .montecarlo import BenchRecord, McDesign, McRecord, \

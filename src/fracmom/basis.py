@@ -1,4 +1,4 @@
-"""Tunable signed-power basis: exponent family, basis values, derivatives.
+"""Tunable signed-power basis: exponent family and basis values.
 
 The basis is controlled by a single dial ``alpha`` in [0, 1].  Member ``i = 1``
 is always the identity.  Members ``i >= 2`` are sign-preserving powers
@@ -10,8 +10,6 @@ sub-linear roots at ``alpha = 0`` (``p_i = 1/i``), all-linear collapse at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Half-width of the protected interval around alpha = 1/2.  The estimator
@@ -21,52 +19,9 @@ ESTIMATOR_BAND = 0.01
 SWEEP_BAND = 0.05
 
 
-@dataclass(frozen=True)
-class AlphaParam:
-    """Validated basis dial with its protected-band half width."""
-
-    value: float
-    degeneracy_band: float = ESTIMATOR_BAND
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.value}")
-        if not self.degeneracy_band > 0.0:
-            raise ValueError("degeneracy_band must be positive")
-
-    def is_degenerate(self) -> bool:
-        return abs(self.value - 0.5) < self.degeneracy_band
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Near-zero handling for sub-linear powers.
-
-    ``epsilon > 0`` switches |xi|**p to the smoothed form (xi^2 + eps^2)^(p/2)
-    for exponents p < 1.  ``zero_floor`` clamps |xi| away from zero before any
-    negative exponent is applied.
-    """
-
-    epsilon: float = 0.0
-    zero_floor: float = 1e-12
-
-    def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-        if not self.zero_floor > 0.0:
-            raise ValueError("zero_floor must be > 0")
-
-
-DEFAULT_SMOOTHING = SmoothingConfig()
-
-
-def _as_float(alpha) -> float:
-    return alpha.value if isinstance(alpha, AlphaParam) else float(alpha)
-
-
 def alpha_value(alpha) -> float:
-    """Accept a bare float or an AlphaParam; enforce the [0, 1] range."""
-    a = _as_float(alpha)
+    """Coerce alpha to float; enforce the [0, 1] range."""
+    a = float(alpha)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {a}")
     return a
@@ -80,21 +35,21 @@ def exponent(i: int, alpha) -> float:
     Strictly positive on [0, 1] for i <= 5; from i = 6 the interpolating
     quadratic dips below zero near alpha ~ 0.15 (the degree-2 estimator only
     ever uses i = 2, where p stays in [1/2, 2]).  The quadratic extends to
-    any real alpha; range enforcement belongs to AlphaParam and the
+    any real alpha; range enforcement belongs to alpha_value and the
     estimators.
     """
     if i < 1:
         raise ValueError(f"basis index must be >= 1, got {i}")
     if i == 1:
         return 1.0
-    a = _as_float(alpha)
+    a = float(alpha)
     return 1.0 / i + (4.0 - i - 3.0 / i) * a + (2.0 * i - 4.0 + 2.0 / i) * a * a
 
 
 def second_exponent(alpha) -> float:
     """p_2(alpha) = 1/2 + alpha/2 + alpha^2, the exponent driving the
     degree-2 estimator."""
-    a = _as_float(alpha)
+    a = float(alpha)
     return 0.5 + 0.5 * a + a * a
 
 
@@ -115,42 +70,30 @@ def collision_roots(i: int, j: int) -> tuple[float, float]:
     return 0.5, neg
 
 
-def basis_value(i: int, alpha, xi, cfg: SmoothingConfig = DEFAULT_SMOOTHING):
+def basis_value(i: int, alpha, xi, epsilon: float = 0.0):
     """Evaluate basis member i at residual xi (scalar or array).
 
-    Odd in xi.  With smoothing enabled the sub-linear members use
-    sign(xi) * (xi^2 + eps^2)^(p/2); smoothing is never applied to exponents
-    >= 1 nor to the identity member.
+    Odd in xi and exactly 0 at xi = 0.  ``epsilon > 0`` switches the
+    sub-linear members to the smoothed form sign(xi) * (xi^2 + eps^2)^(p/2);
+    smoothing is never applied to exponents >= 1 nor to the identity member.
     """
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be >= 0")
     if i == 1:
         return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
-    if _as_float(alpha) == 0.5:
+    if float(alpha) == 0.5:
         # every member collapses to the identity at the midpoint; return xi
         # itself so the identity is exact rather than 1-ulp off
         return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
     p = exponent(i, alpha)
     x = np.asarray(xi, dtype=float)
-    if cfg.epsilon > 0.0 and p < 1.0:
-        out = np.sign(x) * np.power(x * x + cfg.epsilon**2, 0.5 * p)
+    if epsilon > 0.0 and p < 1.0:
+        out = np.sign(x) * np.power(x * x + epsilon**2, 0.5 * p)
+    elif p < 0.0:
+        # members i >= 6 have negative exponents near alpha ~ 0.15, where
+        # |0|**p is inf and sign(0) * inf would be NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(x == 0.0, 0.0, np.sign(x) * np.power(np.abs(x), p))
     else:
         out = np.sign(x) * np.power(np.abs(x), p)
-    return out if np.ndim(xi) else float(out)
-
-
-def basis_location_derivative(i: int, alpha, xi,
-                              cfg: SmoothingConfig = DEFAULT_SMOOTHING):
-    """Derivative of basis member i under a unit shift of the location.
-
-    Equals -p_i * |xi|**(p_i - 1) for i >= 2 and -1 for the identity member;
-    even in xi.  |xi| is floored at cfg.zero_floor so negative exponents stay
-    finite at exact zeros.
-    """
-    if i == 1:
-        out = -np.ones_like(np.asarray(xi, dtype=float))
-        return out if np.ndim(xi) else -1.0
-    p = exponent(i, alpha)
-    x = np.abs(np.asarray(xi, dtype=float))
-    if p < 1.0:
-        x = np.maximum(x, cfg.zero_floor)
-    out = -p * np.power(x, p - 1.0)
     return out if np.ndim(xi) else float(out)

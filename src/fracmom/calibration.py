@@ -8,7 +8,6 @@ attached as a tie-break diagnostic when the plug-in choice is unstable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,9 +18,8 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 from .efficiency import G2Curve, alpha_grid, g2_with_flag, g2_sweep
 from .errors import AllGridDegenerate, DegenerateSample, FracmomError, \
     SmallSample
-from .estimators import DEFAULT_SOLVER, SolverConfig, estimate_full
-from .moments import MomentEstimatorConfig, PLUGIN_MOMENT_CONFIG, \
-    empirical_moments
+from .estimators import estimate_full
+from .moments import PLUGIN_MOMENT_CONFIG, empirical_moments
 
 AMBIGUITY_SPREAD = 0.1  # bootstrap alpha* spread that flags an unstable pick
 FLAT_CURVE_TOL = 1e-6
@@ -62,11 +60,12 @@ def calibrate_oracle(spec: DistributionSpec, grid_step: float = 0.05,
 
 
 def _empirical_curve(resid: np.ndarray, alphas: np.ndarray,
-                     cfg: MomentEstimatorConfig, band: float) -> G2Curve:
+                     band: float) -> G2Curve:
     values = np.full(alphas.size, np.nan)
     flags = np.zeros(alphas.size, dtype=bool)
     for idx, a in enumerate(alphas):
-        m = empirical_moments(resid, 0.0, second_exponent(a), cfg)
+        m = empirical_moments(resid, 0.0, second_exponent(a),
+                              PLUGIN_MOMENT_CONFIG)
         try:
             values[idx], flags[idx] = g2_with_flag(m)
         except FracmomError:
@@ -81,7 +80,6 @@ def _empirical_curve(resid: np.ndarray, alphas: np.ndarray,
 
 def calibrate_plugin(sample, grid_step: float = 0.05,
                      band: float = SWEEP_BAND,
-                     cfg: MomentEstimatorConfig = PLUGIN_MOMENT_CONFIG,
                      bootstrap_b: int = 200, seed: int = 0,
                      ) -> CalibrationResult:
     """Plug-in argmin of the estimated ratio over residuals from the mean.
@@ -95,7 +93,7 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
     resid = x - float(np.mean(x))
     alphas = alpha_grid(grid_step, band)
-    curve = _empirical_curve(resid, alphas, cfg, band)
+    curve = _empirical_curve(resid, alphas, band)
 
     picks = [curve.argmin_alpha]
     rng = make_rng([seed, 2401])
@@ -103,7 +101,7 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
         boot = rng.choice(resid, size=resid.size, replace=True)
         boot = boot - float(np.mean(boot))
         try:
-            picks.append(_empirical_curve(boot, alphas, cfg, band).argmin_alpha)
+            picks.append(_empirical_curve(boot, alphas, band).argmin_alpha)
         except AllGridDegenerate:
             continue
     picks = np.asarray(picks)
@@ -121,7 +119,6 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
 
 
 def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
-                      solver: SolverConfig = DEFAULT_SOLVER,
                       seed: int = 0) -> CalibrationResult:
     """Pick alpha by bootstrap variance of the full estimator on the sample.
 
@@ -138,7 +135,7 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     boots = [rng.choice(x, size=x.size, replace=True) for _ in range(bootstrap_b)]
     variances = np.empty(alphas.size)
     for idx, a in enumerate(alphas):
-        est = [estimate_full(b, a, solver).theta_hat for b in boots]
+        est = [estimate_full(b, a).theta_hat for b in boots]
         variances[idx] = float(np.var(est, ddof=1))
     best = int(np.argmin(variances))
     close = alphas[variances <= 1.05 * variances[best]]
@@ -204,25 +201,3 @@ def topographic_coords(target) -> tuple[float | None, float | None]:
     diag = entropy_diagnostic(target)
     return diag.kappa_hat, diag.k_hat
 
-
-# ---------------------------------------------------------------------------
-# offline-table stub
-# ---------------------------------------------------------------------------
-
-def load_alpha_table(path) -> list[tuple[float, float, float]]:
-    """Read a user-supplied (gamma3, gamma4, alpha_star) lookup table."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((float(rec["gamma3"]), float(rec["gamma4"]),
-                         float(rec["alpha_star"])))
-    if not rows:
-        raise ValueError(f"empty calibration table: {path}")
-    return rows
-
-
-def calibrate_table_lookup(gamma3: float, gamma4: float,
-                           table: list[tuple[float, float, float]]) -> float:
-    """Nearest-neighbor alpha* lookup in (gamma3, gamma4) space."""
-    best = min(table, key=lambda r: (r[0] - gamma3) ** 2 + (r[1] - gamma4) ** 2)
-    return best[2]

@@ -49,14 +49,12 @@ def _cond_2x2(f11: float, f12: float, f22: float) -> float:
     return hi / lo if lo > 0.0 else math.inf
 
 
-def build_correlant_system(m: FractionalMomentSet,
-                           det_threshold: float = DET_THRESHOLD,
-                           cond_cap: float = COND_CAP) -> CorrelantSystem:
+def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
     """Assemble and solve the 2x2 weight system F h = b.
 
     F = [[c2, nu_{p+1}], [nu_{p+1}, nu_{2p} - sigma_p^2]] and
     b = (1, p * nu_{p-1}); raises SingularSystem when the determinant falls
-    under ``det_threshold`` or conditioning exceeds ``cond_cap``.
+    under DET_THRESHOLD or conditioning exceeds COND_CAP.
     """
     m.require_finite()
     f11 = m.c2
@@ -66,7 +64,7 @@ def build_correlant_system(m: FractionalMomentSet,
     b2 = m.p * m.nu_pm1
     det = f11 * f22 - f12 * f12
     cond = _cond_2x2(f11, f12, f22)
-    if abs(det) < det_threshold or cond > cond_cap:
+    if abs(det) < DET_THRESHOLD or cond > COND_CAP:
         raise SingularSystem(f"det={det:.3e}, cond={cond:.3e}")
     h1 = (f22 * b1 - f12 * b2) / det
     h2 = (f11 * b2 - f12 * b1) / det

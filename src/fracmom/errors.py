@@ -41,9 +41,5 @@ class BracketFailure(FracmomError):
     """Root bracketing failed to find a sign change after max expansions."""
 
 
-class NonConvergence(FracmomError):
-    """Iterative solver hit its iteration cap without converging."""
-
-
 class QuadratureError(FracmomError):
     """Adaptive quadrature did not reach the requested tolerance."""

@@ -14,45 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .basis import ESTIMATOR_BAND, SmoothingConfig, alpha_value, basis_value, \
-    second_exponent
-from .efficiency import COND_CAP, DET_THRESHOLD, build_correlant_system
-from .errors import BracketFailure, NonConvergence, NonFiniteInput, \
-    SingularSystem
+from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
+from .efficiency import build_correlant_system
+from .errors import BracketFailure, NonFiniteInput, SingularSystem
 from .moments import MomentEstimatorConfig, empirical_moments
 
 METHOD_FULL = "full"
 METHOD_PROXY = "proxy"
 METHOD_OLS = "ols_fallback"
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Safeguards for the estimator stack."""
-
-    max_outer_iters: int = 3
-    tol: float = 1e-8
-    cond_cap: float = COND_CAP
-    det_threshold: float = DET_THRESHOLD
-    step_clip_sd: float = 3.0
-    damping: float = 0.5
-    degeneracy_band: float = ESTIMATOR_BAND
-    bracket_expansion: float = 10.0
-    max_bracket_doublings: int = 60
-    newton_max_iters: int = 100
-
-    def __post_init__(self):
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if not self.bracket_expansion > 1.0:
-            raise ValueError("bracket_expansion must be > 1")
-
-
-DEFAULT_SOLVER = SolverConfig()
+MAX_OUTER_ITERS = 3  # outer passes of the full solver
+TOL = 1e-8  # relative step size that counts as converged
+STEP_CLIP_SD = 3.0  # largest outer step, in sample standard deviations
+BRACKET_EXPANSION = 10.0  # initial proxy half-bracket, in robust scales
+MAX_BRACKET_DOUBLINGS = 60  # proxy bracket widenings before BracketFailure
 
 
 @dataclass(frozen=True)
@@ -94,8 +69,7 @@ def estimate_ols(sample) -> EstimateResult:
                           math.nan, math.nan, True)
 
 
-def estimate_full(sample, alpha, cfg: SolverConfig = DEFAULT_SOLVER,
-                  ) -> EstimateResult:
+def estimate_full(sample, alpha) -> EstimateResult:
     """Full two-weight estimator with the safeguarded solver stack.
 
     Starts at the sample mean; each outer pass re-estimates the moment set at
@@ -106,7 +80,7 @@ def estimate_full(sample, alpha, cfg: SolverConfig = DEFAULT_SOLVER,
     """
     x = _as_clean_array(sample)
     a = alpha_value(alpha)
-    if abs(a - 0.5) < cfg.degeneracy_band:
+    if abs(a - 0.5) < ESTIMATOR_BAND:
         return EstimateResult(float(np.mean(x)), METHOD_OLS, 0, 0.0,
                               math.nan, math.nan, True)
     p = second_exponent(a)
@@ -118,50 +92,49 @@ def estimate_full(sample, alpha, cfg: SolverConfig = DEFAULT_SOLVER,
     if not np.isfinite(sd):
         q75, q25 = np.percentile(x, [75.0, 25.0])
         sd = (q75 - q25) / 1.349
-    clip = cfg.step_clip_sd * sd
+    clip = STEP_CLIP_SD * sd
 
     step = 0.0
     converged = False
     sys = None
     iters = 0
-    for iters in range(1, cfg.max_outer_iters + 1):
+    for iters in range(1, MAX_OUTER_ITERS + 1):
         m = empirical_moments(x, mu, p, mcfg)
         try:
-            sys = build_correlant_system(m, cfg.det_threshold, cfg.cond_cap)
+            sys = build_correlant_system(m)
         except SingularSystem:
-            return _proxy_result(x, a, cfg)
+            return _proxy_result(x, a)
         xi_bar = float(np.mean(x)) - mu
         z = sys.h1 * xi_bar + sys.h2 * m.sigma_p
         z_slope = -sys.h1 - p * sys.h2 * m.nu_pm1
         if z_slope == 0.0 or not np.isfinite(z_slope):
-            return _proxy_result(x, a, cfg)
+            return _proxy_result(x, a)
         step = float(np.clip(-z / z_slope, -clip, clip))
         mu += step
-        if abs(step) < cfg.tol * max(1.0, abs(mu)):
+        if abs(step) < TOL * max(1.0, abs(mu)):
             converged = True
             break
     return EstimateResult(mu, METHOD_FULL, iters, step,
                           sys.cond, sys.det, converged)
 
 
-def _proxy_result(x: np.ndarray, a: float, cfg: SolverConfig) -> EstimateResult:
+def _proxy_result(x: np.ndarray, a: float) -> EstimateResult:
     p = second_exponent(a)
     med = float(np.median(x))
     if np.max(x) == np.min(x):
         return EstimateResult(med, METHOD_PROXY, 0, 0.0, math.nan, math.nan, True)
     scale = _robust_scale(x)
-    smooth = SmoothingConfig(epsilon=_tie_smoothing(x, med, scale),
-                             zero_floor=max(1e-12 * scale, 1e-300))
+    eps = _tie_smoothing(x, med, scale)
 
     def score(mu: float) -> float:
-        return float(np.sum(basis_value(2, a, x - mu, smooth)))
+        return float(np.sum(basis_value(2, a, x - mu, eps)))
 
     # score is strictly decreasing in mu, so a sign change must appear once
     # the interval is wide enough
-    half = cfg.bracket_expansion * max(scale, 1e-8 * (1.0 + abs(med)))
+    half = BRACKET_EXPANSION * max(scale, 1e-8 * (1.0 + abs(med)))
     lo, hi = med - half, med + half
     s_lo, s_hi = score(lo), score(hi)
-    for _ in range(cfg.max_bracket_doublings):
+    for _ in range(MAX_BRACKET_DOUBLINGS):
         if s_lo >= 0.0 >= s_hi:
             break
         half *= 2.0
@@ -174,40 +147,10 @@ def _proxy_result(x: np.ndarray, a: float, cfg: SolverConfig) -> EstimateResult:
                           math.nan, math.nan, bool(info.converged))
 
 
-def estimate_proxy(sample, alpha, cfg: SolverConfig = DEFAULT_SOLVER,
-                   ) -> EstimateResult:
+def estimate_proxy(sample, alpha) -> EstimateResult:
     """Scalar signed-power root: solve sum sign(x-mu)|x-mu|^p = 0 by
     bracketing.  Valid for any finite sample, including infinite-variance
     noise, since it needs no moment matrix."""
     x = _as_clean_array(sample)
-    return _proxy_result(x, alpha_value(alpha), cfg)
+    return _proxy_result(x, alpha_value(alpha))
 
-
-def damped_newton_scalar(score, slope, start: float,
-                         cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Safeguarded scalar Newton: damped steps first, each step accepted only
-    if it shrinks |score|, halving the damping otherwise."""
-    theta = float(start)
-    z = score(theta)
-    if not np.isfinite(z):
-        raise NonConvergence("score not finite at start")
-    for it in range(1, cfg.newton_max_iters + 1):
-        if z == 0.0:
-            return theta
-        zp = slope(theta)
-        if zp == 0.0 or not np.isfinite(zp):
-            raise NonConvergence(f"unusable slope {zp} at iteration {it}")
-        lam = cfg.damping if it <= 5 else 1.0
-        for _ in range(60):
-            cand = theta - lam * z / zp
-            zc = score(cand)
-            if np.isfinite(zc) and abs(zc) < abs(z):
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergence(f"no |score|-decreasing step at iteration {it}")
-        step = cand - theta
-        theta, z = cand, zc
-        if abs(step) < cfg.tol * max(1.0, abs(theta)):
-            return theta
-    raise NonConvergence(f"iteration cap {cfg.newton_max_iters} reached")

@@ -21,8 +21,7 @@ from .basis import second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
-from .estimators import DEFAULT_SOLVER, SolverConfig, estimate_full, \
-    estimate_proxy
+from .estimators import estimate_full, estimate_proxy
 from .moments import theoretical_moments
 
 WORKERS_ENV = "FRACMOM_WORKERS"
@@ -131,25 +130,24 @@ def _draw_block(design: McDesign, di: int, ni: int) -> list[np.ndarray]:
             for r in range(design.replicates)]
 
 
-def _estimate_cell(samples: list[np.ndarray], estimator: str, alpha: float,
-                   solver: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _estimate_cell(samples: list[np.ndarray], estimator: str,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
     m = len(samples)
     est = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
     for r, x in enumerate(samples):
         try:
             if estimator == "full":
-                est[r] = estimate_full(x, alpha, solver).theta_hat
+                est[r] = estimate_full(x, alpha).theta_hat
             else:
-                est[r] = estimate_proxy(x, alpha, solver).theta_hat
+                est[r] = estimate_proxy(x, alpha).theta_hat
             ok[r] = True
         except FracmomError:
             pass
     return est, ok
 
 
-def _mc_block(design: McDesign, solver: SolverConfig,
-              task: tuple[int, int]) -> list[McRecord]:
+def _mc_block(design: McDesign, task: tuple[int, int]) -> list[McRecord]:
     di, ni = task
     spec = design.distributions[di]
     n = design.n_values[ni]
@@ -169,7 +167,7 @@ def _mc_block(design: McDesign, solver: SolverConfig,
                                         None, None, None, None, None, 0,
                                         design.base_seed))
                 continue
-            est, ok = _estimate_cell(samples, estimator, alpha, solver)
+            est, ok = _estimate_cell(samples, estimator, alpha)
             records.append(_aggregate(spec, n, alpha, estimator, est, ok,
                                       ols_est, design.base_seed))
     return records
@@ -192,13 +190,12 @@ def _run_blocks(block_fn, tasks, workers: int | None) -> list:
     return [rec for block in blocks for rec in block]
 
 
-def run_mc(design: McDesign, solver: SolverConfig = DEFAULT_SOLVER,
-           workers: int | None = None) -> list[McRecord]:
+def run_mc(design: McDesign, workers: int | None = None) -> list[McRecord]:
     """Run the design cell by cell; per-replicate estimator failures are
     skipped and reflected in the replicates count, never aborting the run."""
     tasks = [(di, ni) for di in range(len(design.distributions))
              for ni in range(len(design.n_values))]
-    return _run_blocks(partial(_mc_block, design, solver), tasks, workers)
+    return _run_blocks(partial(_mc_block, design), tasks, workers)
 
 
 def _baseline_block(design: McDesign, task: tuple[int, int]) -> list[McRecord]:

@@ -5,9 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fracmom import (
-    AlphaParam,
-    SmoothingConfig,
-    basis_location_derivative,
     basis_value,
     collision_roots,
     exponent,
@@ -97,6 +94,8 @@ class TestBasisValue:
     def test_signed_power_examples(self):
         assert basis_value(2, 1.0, -4.0) == pytest.approx(-16.0, abs=0)
         assert basis_value(2, 0.0, 0.25) == pytest.approx(0.5, abs=1e-15)
+        # exponent(6, 0.125) < 0: the odd basis is still exactly 0 at xi = 0
+        assert basis_value(6, 0.125, 0.0) == 0.0
 
     def test_midpoint_collapse_exact(self):
         for i in (1, 2, 3, 7):
@@ -108,9 +107,8 @@ class TestBasisValue:
            st.floats(min_value=-1e6, max_value=1e6),
            st.sampled_from([0.0, 1e-6, 1e-3]))
     def test_odd_in_xi(self, i, alpha, xi, eps):
-        cfg = SmoothingConfig(epsilon=eps)
-        assert basis_value(i, alpha, -xi, cfg) == pytest.approx(
-            -basis_value(i, alpha, xi, cfg), rel=1e-12, abs=1e-300)
+        assert basis_value(i, alpha, -xi, epsilon=eps) == pytest.approx(
+            -basis_value(i, alpha, xi, epsilon=eps), rel=1e-12, abs=1e-300)
 
     def test_vectorized_matches_scalar(self):
         xi = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
@@ -118,65 +116,15 @@ class TestBasisValue:
         assert vec == pytest.approx([basis_value(2, 0.2, v) for v in xi])
 
     def test_smoothing_only_below_linear(self):
-        cfg = SmoothingConfig(epsilon=0.1)
         # p = 2 at alpha = 1: smoothing must not apply
-        assert basis_value(2, 1.0, 3.0, cfg) == pytest.approx(9.0, abs=0)
+        assert basis_value(2, 1.0, 3.0, epsilon=0.1) == pytest.approx(9.0, abs=0)
         # p = 1/2 at alpha = 0: smoothed form
         expected = math.copysign((4.0 + 0.01) ** 0.25, 2.0)
-        assert basis_value(2, 0.0, 2.0, cfg) == pytest.approx(expected, rel=1e-15)
-
-
-class TestLocationDerivative:
-    def test_examples(self):
-        assert basis_location_derivative(2, 1.0, 3.0) == pytest.approx(-6.0)
-        assert basis_location_derivative(2, 0.0, 4.0) == pytest.approx(-0.25)
-        assert basis_location_derivative(1, 0.7, 5.0) == -1.0
-
-    def test_zero_floor_keeps_value_finite(self):
-        cfg = SmoothingConfig(zero_floor=1e-12)
-        v = basis_location_derivative(2, 0.0, 0.0, cfg)
-        assert np.isfinite(v)
-        assert v == pytest.approx(-0.5 * (1e-12) ** (-0.5), rel=1e-12)
-
-    def test_even_in_xi(self):
-        for a in (0.0, 0.3, 0.8, 1.0):
-            for xi in (0.2, 1.7, 42.0):
-                assert basis_location_derivative(2, a, xi) == pytest.approx(
-                    basis_location_derivative(2, a, -xi), rel=1e-14)
-
-    def test_against_central_differences(self):
-        # d/dtheta basis(x - theta) at theta = 0, via symmetric differences
-        h = 1e-6
-        for i in (2, 3, 5):
-            for a in (0.0, 0.25, 0.75, 1.0):
-                for xi in (-3.0, -0.5, 0.1, 0.9, 2.4):
-                    if abs(xi) < 0.1:
-                        continue
-                    numeric = (basis_value(i, a, xi - h) - basis_value(i, a, xi + h)) / (2.0 * h)
-                    assert basis_location_derivative(i, a, xi) == pytest.approx(
-                        numeric, rel=1e-6)
+        assert basis_value(2, 0.0, 2.0, epsilon=0.1) == pytest.approx(
+            expected, rel=1e-15)
 
 
 class TestConfigs:
-    def test_alpha_param_validation(self):
-        with pytest.raises(ValueError):
-            AlphaParam(1.2)
-        with pytest.raises(ValueError):
-            AlphaParam(0.5, degeneracy_band=0.0)
-
-    def test_alpha_param_degeneracy(self):
-        assert AlphaParam(0.5).is_degenerate()
-        assert AlphaParam(0.505, degeneracy_band=0.01).is_degenerate()
-        assert not AlphaParam(0.52, degeneracy_band=0.01).is_degenerate()
-        assert AlphaParam(0.52, degeneracy_band=0.05).is_degenerate()
-
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):
-            SmoothingConfig(epsilon=-1.0)
-        with pytest.raises(ValueError):
-            SmoothingConfig(zero_floor=0.0)
-
-    def test_alpha_param_accepted_by_basis(self):
-        a = AlphaParam(0.3)
-        assert exponent(2, a) == pytest.approx(0.74)
-        assert basis_value(2, a, 2.0) == pytest.approx(2.0 ** 0.74)
+            basis_value(2, 0.0, 1.0, epsilon=-1.0)

@@ -11,9 +11,7 @@ from fracmom import (
     calibrate_grid_mc,
     calibrate_oracle,
     calibrate_plugin,
-    calibrate_table_lookup,
     entropy_diagnostic,
-    load_alpha_table,
     parse_spec,
     sample,
     topographic_coords,
@@ -205,21 +203,3 @@ class TestTopographicCoords:
         assert kappa == pytest.approx(0.577, abs=0.03)
         assert k == pytest.approx(2.0663, abs=0.05)
 
-
-class TestTableLookupStub:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "alpha_table.csv"
-        path.write_text("gamma3,gamma4,alpha_star\n"
-                        "0.0,3.0,0.05\n"
-                        "0.0,-0.8,0.95\n"
-                        "0.6,-0.1,0.6\n", encoding="utf-8")
-        table = load_alpha_table(path)
-        assert calibrate_table_lookup(0.0, 2.5, table) == 0.05
-        assert calibrate_table_lookup(0.05, -0.9, table) == 0.95
-        assert calibrate_table_lookup(0.596, -0.12, table) == 0.6
-
-    def test_empty_table_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("gamma3,gamma4,alpha_star\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_alpha_table(path)

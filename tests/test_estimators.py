@@ -5,10 +5,7 @@ import pytest
 
 from fracmom import (
     BracketFailure,
-    NonConvergence,
     NonFiniteInput,
-    SolverConfig,
-    damped_newton_scalar,
     empirical_moments,
     build_correlant_system,
     estimate_full,
@@ -18,6 +15,7 @@ from fracmom import (
     sample,
     second_exponent,
 )
+from fracmom.estimators import TOL
 
 ALPHAS = (0.05, 0.30, 0.70, 0.95)
 
@@ -88,10 +86,9 @@ class TestFullEstimator:
 
     def test_converged_step_invariant(self):
         x = sample(parse_spec("laplace"), 500, 31)
-        cfg = SolverConfig()
-        res = estimate_full(x, 0.3, cfg)
+        res = estimate_full(x, 0.3)
         if res.converged:
-            assert abs(res.final_step) < cfg.tol * max(1.0, abs(res.theta_hat))
+            assert abs(res.final_step) < TOL * max(1.0, abs(res.theta_hat))
 
     def test_conditioning_telemetry_band(self):
         # median condition number at the mean-centered start over 200 draws
@@ -166,62 +163,16 @@ class TestProxyEstimator:
             score = np.sum(np.sign(x - mu) * np.abs(x - mu) ** p)
             assert abs(score) < 1e-7 * np.sum(np.abs(x - mu) ** p)
 
-    def test_bracket_failure_unreachable_for_finite_samples(self):
-        # monotone score: even a tiny starting bracket expands to a root
-        cfg = SolverConfig(bracket_expansion=1.0001, max_bracket_doublings=60)
+    def test_bracket_widens_to_root_and_caps_at_bracket_failure(self):
         x = np.array([-100.0, 0.0, 100.0])
-        assert estimate_proxy(x, 0.2, cfg).theta_hat == pytest.approx(0.0, abs=1e-8)
-        tight = SolverConfig(bracket_expansion=1.0001, max_bracket_doublings=1)
+        assert estimate_proxy(x, 0.2).theta_hat == pytest.approx(0.0, abs=1e-8)
+        # monotone score: the starting half-width 10 widens until it holds
+        # the root near 110
+        mu = estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e3]), 0.05).theta_hat
+        p = second_exponent(0.05)
+        assert 3.0 * (mu + 1.0) ** p == pytest.approx((1e3 - mu) ** p, rel=1e-9)
+        # the root sits past the last bracket the doubling cap checks, so the
+        # search stops with BracketFailure, not a raw scipy error; solving in
+        # standardized units (see ROADMAP.md) is expected to make this succeed
         with pytest.raises(BracketFailure):
-            estimate_proxy(np.array([-1.0, -1.0, -1.0, 200.0]), 0.05, tight)
-
-
-class TestDampedNewton:
-    def test_linear_score(self):
-        calls = {"n": 0}
-
-        def score(t):
-            calls["n"] += 1
-            return t
-
-        root = damped_newton_scalar(score, lambda t: 1.0, 7.0)
-        assert root == 0.0
-        assert calls["n"] <= 8  # 5 damped halving steps, one full step, checks
-
-    def test_cubic_score(self):
-        root = damped_newton_scalar(lambda t: t**3, lambda t: 3.0 * t * t + 1e-12,
-                                    1.0)
-        assert abs(root) < 1e-6
-
-    def test_agrees_with_bracketing_root(self):
-        x = sample(parse_spec("laplace"), 100, 99)
-        a = 0.05
-        p = second_exponent(a)
-
-        def score(mu):
-            return float(np.sum(np.sign(x - mu) * np.abs(x - mu) ** p))
-
-        def slope(mu):
-            return float(-p * np.sum(np.maximum(np.abs(x - mu), 1e-12) ** (p - 1.0)))
-
-        newton = damped_newton_scalar(score, slope, float(np.mean(x)))
-        bracket = estimate_proxy(x, a).theta_hat
-        assert newton == pytest.approx(bracket, abs=1e-8)
-
-    def test_nonconvergence_reported(self):
-        cfg = SolverConfig(newton_max_iters=3)
-        with pytest.raises(NonConvergence):
-            # |score| cannot decrease anywhere: constant magnitude
-            damped_newton_scalar(lambda t: 1.0, lambda t: 1.0, 0.0, cfg)
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_outer_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(damping=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(bracket_expansion=1.0)
+            estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e20]), 0.05)
