@@ -12,14 +12,14 @@ from .distributions import DistributionSpec, ENTROPY_COEFF_MAX, ShapeSummary, \
     shape_summary
 from .efficiency import CorrelantSystem, G2Curve, alpha_grid, \
     build_correlant_system, g2_classical, g2_closed_form, g2_sweep, \
-    g2_symmetric_power_endpoint, g2_with_flag
+    g2_with_flag
 from .errors import AllGridDegenerate, BracketFailure, DegenerateRatio, \
     DegenerateSample, FracmomError, NonFiniteInput, NonFiniteMoment, \
     NonPositiveDenominator, QuadratureError, SingularSystem, SmallSample
 from .estimators import EstimateResult, estimate_full, estimate_ols, \
     estimate_proxy
-from .moments import FractionalMomentSet, MomentEstimatorConfig, abs_moment, \
-    empirical_moments, quadrature_moment, signed_moment, theoretical_moments
+from .moments import FractionalMomentSet, abs_moment, empirical_moments, \
+    quadrature_moment, signed_moment, theoretical_moments
 from .montecarlo import BenchRecord, McDesign, McRecord, \
     bench_scaling_ratios, default_design, run_baseline_mc, run_bench, run_mc, \
     write_baseline_csv, write_bench_csv, write_calibration_csv, \

@@ -10,6 +10,7 @@ BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
 
 HUBER_TUNING = 1.345  # 95% efficiency at the Gaussian
+HUBER_MAX_ITERS = 100
 MAD_TO_SD = 1.4826
 
 
@@ -39,8 +40,7 @@ def winsorized_mean(sample, fraction: float) -> float:
     return float(np.mean(x))
 
 
-def huber_location(sample, tuning_c: float = HUBER_TUNING,
-                   max_iters: int = 100) -> float:
+def huber_location(sample, tuning_c: float = HUBER_TUNING) -> float:
     """Iteratively reweighted mean with weights min(1, c*s/|resid|).
 
     The scale s = MAD * 1.4826 is held fixed; a zero MAD returns the median.
@@ -55,7 +55,7 @@ def huber_location(sample, tuning_c: float = HUBER_TUNING,
     s = MAD_TO_SD * mad
     k = tuning_c * s
     mu = med
-    for _ in range(max_iters):
+    for _ in range(HUBER_MAX_ITERS):
         r = np.abs(x - mu)
         w = np.ones_like(r)
         far = r > k

@@ -79,11 +79,9 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0):
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    if i == 1:
-        return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
-    if float(alpha) == 0.5:
-        # every member collapses to the identity at the midpoint; return xi
-        # itself so the identity is exact rather than 1-ulp off
+    if i == 1 or float(alpha) == 0.5:
+        # member 1 is the identity, and every member collapses to it at the
+        # midpoint; return xi itself so the identity is exact, not 1-ulp off
         return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
     p = exponent(i, alpha)
     x = np.asarray(xi, dtype=float)

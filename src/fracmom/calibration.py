@@ -19,10 +19,13 @@ from .efficiency import G2Curve, alpha_grid, g2_with_flag, g2_sweep
 from .errors import AllGridDegenerate, DegenerateSample, FracmomError, \
     SmallSample
 from .estimators import estimate_full
-from .moments import PLUGIN_MOMENT_CONFIG, empirical_moments
+from .moments import empirical_moments
 
 AMBIGUITY_SPREAD = 0.1  # bootstrap alpha* spread that flags an unstable pick
 FLAT_CURVE_TOL = 1e-6
+# 1% winsorization for the calibration path: tames single extreme draws while
+# keeping bias negligible at N >= 100.
+PLUGIN_WINSOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ def _empirical_curve(resid: np.ndarray, alphas: np.ndarray,
     flags = np.zeros(alphas.size, dtype=bool)
     for idx, a in enumerate(alphas):
         m = empirical_moments(resid, 0.0, second_exponent(a),
-                              PLUGIN_MOMENT_CONFIG)
+                              winsor_fraction=PLUGIN_WINSOR)
         try:
             values[idx], flags[idx] = g2_with_flag(m)
         except FracmomError:

@@ -20,9 +20,10 @@ from .distributions import parse_spec, shape_summary
 from .efficiency import alpha_grid, g2_sweep
 from .errors import FracmomError
 from .estimators import estimate_full, estimate_ols, estimate_proxy
-from .montecarlo import McDesign, bench_scaling_ratios, default_design, \
-    run_baseline_mc, run_bench, run_mc, write_baseline_csv, write_bench_csv, \
-    write_calibration_csv, write_csv_rows, write_mc_csv, write_sweep_csv
+from .montecarlo import MC_ESTIMATORS, McDesign, bench_scaling_ratios, \
+    default_design, run_baseline_mc, run_bench, run_mc, write_baseline_csv, \
+    write_bench_csv, write_calibration_csv, write_csv_rows, write_mc_csv, \
+    write_sweep_csv
 
 
 class UsageError(Exception):
@@ -69,7 +70,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, nargs="+", default=None)
     p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--estimators", nargs="+", default=None)
+    p.add_argument("--estimators", nargs="+", choices=MC_ESTIMATORS,
+                   default=None)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("baselines", help="robust baselines on the MC design")

@@ -106,13 +106,6 @@ def g2_classical(gamma3: float, gamma4: float) -> float:
     return 1.0 - gamma3**2 / (2.0 + gamma4)
 
 
-def g2_symmetric_power_endpoint(c2: float, nu1: float, nu3: float,
-                                nu4: float) -> float:
-    """Independent alpha = 1 ratio for symmetric laws from {c2, nu1, nu3, nu4}:
-    (c2*nu4 - nu3^2) / (c2*(nu4 - 4*nu3*nu1 + 4*c2*nu1^2))."""
-    return (c2 * nu4 - nu3**2) / (c2 * (nu4 - 4.0 * nu3 * nu1 + 4.0 * c2 * nu1**2))
-
-
 @dataclass(frozen=True)
 class G2Curve:
     """Ratio values over an alpha grid with the collapse band removed."""

@@ -17,7 +17,7 @@ from scipy import optimize
 from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 from .efficiency import build_correlant_system
 from .errors import BracketFailure, NonFiniteInput, SingularSystem
-from .moments import MomentEstimatorConfig, empirical_moments
+from .moments import empirical_moments
 
 METHOD_FULL = "full"
 METHOD_PROXY = "proxy"
@@ -81,13 +81,11 @@ def estimate_full(sample, alpha) -> EstimateResult:
     x = _as_clean_array(sample)
     a = alpha_value(alpha)
     if abs(a - 0.5) < ESTIMATOR_BAND:
-        return EstimateResult(float(np.mean(x)), METHOD_OLS, 0, 0.0,
-                              math.nan, math.nan, True)
+        return estimate_ols(x)
     p = second_exponent(a)
     scale = _robust_scale(x)
     mu = float(np.mean(x))
     floor = max(1e-12 * scale, _tie_smoothing(x, mu, scale))
-    mcfg = MomentEstimatorConfig(winsor_fraction=0.0, zero_floor=floor)
     sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
     if not np.isfinite(sd):
         q75, q25 = np.percentile(x, [75.0, 25.0])
@@ -99,7 +97,7 @@ def estimate_full(sample, alpha) -> EstimateResult:
     sys = None
     iters = 0
     for iters in range(1, MAX_OUTER_ITERS + 1):
-        m = empirical_moments(x, mu, p, mcfg)
+        m = empirical_moments(x, mu, p, zero_floor=floor)
         try:
             sys = build_correlant_system(m)
         except SingularSystem:

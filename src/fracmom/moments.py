@@ -51,27 +51,6 @@ class FractionalMomentSet:
             raise NonFiniteMoment("moment set contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class MomentEstimatorConfig:
-    """Plug-in options: upper-tail winsorization of |residual| and the
-    clamp applied before negative exponents."""
-
-    winsor_fraction: float = 0.0
-    zero_floor: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 <= self.winsor_fraction <= 0.25:
-            raise ValueError("winsor_fraction must lie in [0, 0.25]")
-        if not self.zero_floor > 0.0:
-            raise ValueError("zero_floor must be > 0")
-
-
-DEFAULT_MOMENT_CONFIG = MomentEstimatorConfig()
-# 1% winsorization for the calibration path: tames single extreme draws while
-# keeping bias negligible at N >= 100.
-PLUGIN_MOMENT_CONFIG = MomentEstimatorConfig(winsor_fraction=0.01)
-
-
 def _abs_power_mean(a: np.ndarray, q: float, floor: float) -> float:
     if q < 0.0:
         a = np.maximum(a, floor)
@@ -79,14 +58,18 @@ def _abs_power_mean(a: np.ndarray, q: float, floor: float) -> float:
 
 
 def empirical_moments(sample, center: float, p: float,
-                      cfg: MomentEstimatorConfig = DEFAULT_MOMENT_CONFIG,
+                      winsor_fraction: float = 0.0, zero_floor: float = 1e-12,
                       ) -> FractionalMomentSet:
     """Plug-in moment set of the residuals ``sample - center``.
 
-    The zero floor is applied only to negative-exponent terms; with
+    ``zero_floor`` clamps |residual| only in negative-exponent terms; with
     ``winsor_fraction > 0`` the absolute residuals are capped at their
     (1 - f) quantile before powering.
     """
+    if not 0.0 <= winsor_fraction <= 0.25:
+        raise ValueError("winsor_fraction must lie in [0, 0.25]")
+    if not zero_floor > 0.0:
+        raise ValueError("zero_floor must be > 0")
     x = np.asarray(sample, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
@@ -94,16 +77,16 @@ def empirical_moments(sample, center: float, p: float,
         raise ValueError("p must be > 0")
     xi = x - center
     a = np.abs(xi)
-    if cfg.winsor_fraction > 0.0:
-        cap = np.quantile(a, 1.0 - cfg.winsor_fraction)
+    if winsor_fraction > 0.0:
+        cap = np.quantile(a, 1.0 - winsor_fraction)
         a = np.minimum(a, cap)
     sgn = np.sign(xi)
     return FractionalMomentSet(
         p=p,
         c2=float(np.mean(a * a)),
-        nu_pm1=_abs_power_mean(a, p - 1.0, cfg.zero_floor),
-        nu_pp1=_abs_power_mean(a, p + 1.0, cfg.zero_floor),
-        nu_2p=_abs_power_mean(a, 2.0 * p, cfg.zero_floor),
+        nu_pm1=_abs_power_mean(a, p - 1.0, zero_floor),
+        nu_pp1=_abs_power_mean(a, p + 1.0, zero_floor),
+        nu_2p=_abs_power_mean(a, 2.0 * p, zero_floor),
         sigma_p=float(np.mean(sgn * a**p)),
     )
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import BASELINE_IDS, run_baseline
-from .basis import second_exponent
+from .basis import alpha_value, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
@@ -25,6 +25,7 @@ from .estimators import estimate_full, estimate_proxy
 from .moments import theoretical_moments
 
 WORKERS_ENV = "FRACMOM_WORKERS"
+MC_ESTIMATORS = ("ols", "proxy", "full")
 
 MC_CSV_FIELDS = ("distribution", "n", "alpha", "estimator", "var", "bias",
                  "mse", "are", "g2_emp", "g2_theo", "replicates", "seed")
@@ -39,11 +40,17 @@ class McDesign:
     alpha_values: tuple[float, ...]
     replicates: int = 1000
     base_seed: int = 1234
-    estimators: tuple[str, ...] = ("ols", "proxy", "full")
+    estimators: tuple[str, ...] = MC_ESTIMATORS
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        unknown = [e for e in self.estimators if e not in MC_ESTIMATORS]
+        if unknown:
+            raise ValueError(f"unknown estimators {unknown}; "
+                             f"choose from {MC_ESTIMATORS}")
+        for a in self.alpha_values:
+            alpha_value(a)
 
 
 def default_design(replicates: int = 1000, base_seed: int = 1234) -> McDesign:
@@ -87,23 +94,17 @@ class BenchRecord:
     batch_size: int
 
 
-_G2_THEO_CACHE: dict = {}
-
-
 def _g2_theoretical(spec: DistributionSpec, alpha: float) -> float | None:
-    key = (spec.name, spec.standardized, round(alpha, 12))
-    if key not in _G2_THEO_CACHE:
-        try:
-            m = theoretical_moments(spec, second_exponent(alpha))
-            _G2_THEO_CACHE[key] = g2_closed_form(m)
-        except FracmomError:
-            _G2_THEO_CACHE[key] = None
-    return _G2_THEO_CACHE[key]
+    try:
+        return g2_closed_form(theoretical_moments(spec, second_exponent(alpha)))
+    except FracmomError:
+        return None
 
 
 def _aggregate(spec: DistributionSpec, n: int, alpha: float | None,
                estimator: str, est: np.ndarray, ok: np.ndarray,
-               ols_est: np.ndarray, base_seed: int) -> McRecord:
+               ols_est: np.ndarray, base_seed: int,
+               g2_theo: float | None) -> McRecord:
     good = int(ok.sum())
     if good == 0:
         return McRecord(spec.name, n, alpha, estimator, None, None, None,
@@ -118,58 +119,64 @@ def _aggregate(spec: DistributionSpec, n: int, alpha: float | None,
     var_ols = float(np.var(o))
     are = var_ols / var if var > 0.0 else None
     g2_emp = var / var_ols if var_ols > 0.0 else None
-    g2_theo = _g2_theoretical(spec, alpha) if alpha is not None else None
     return McRecord(spec.name, n, alpha, estimator, var, bias, mse, are,
                     g2_emp, g2_theo, good, base_seed)
 
 
-def _draw_block(design: McDesign, di: int, ni: int) -> list[np.ndarray]:
+def _draw_block(design: McDesign, task: tuple[int, int]):
+    """(spec, n, samples, per-replicate means) of one (distribution, N)."""
+    di, ni = task
     spec = design.distributions[di]
     n = design.n_values[ni]
-    return [sample(spec, n, [design.base_seed, di, ni, r])
-            for r in range(design.replicates)]
+    samples = [sample(spec, n, [design.base_seed, di, ni, r])
+               for r in range(design.replicates)]
+    ols_est = np.array([float(np.mean(x)) for x in samples])
+    return spec, n, samples, ols_est
 
 
-def _estimate_cell(samples: list[np.ndarray], estimator: str,
-                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    m = len(samples)
-    est = np.full(m, np.nan)
-    ok = np.zeros(m, dtype=bool)
+def _estimator(name: str, alpha: float | None = None):
+    """x -> estimate for ``full``, ``proxy`` or a baseline id.  The module
+    attributes are looked up at call time, so rebinding them takes effect."""
+    if name == "full":
+        return lambda x: estimate_full(x, alpha).theta_hat
+    if name == "proxy":
+        return lambda x: estimate_proxy(x, alpha).theta_hat
+    return lambda x: run_baseline(name, x)
+
+
+def _cell(samples: list[np.ndarray], fn) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate fn on every replicate; a FracmomError leaves ok False."""
+    est = np.full(len(samples), np.nan)
+    ok = np.zeros(len(samples), dtype=bool)
     for r, x in enumerate(samples):
         try:
-            if estimator == "full":
-                est[r] = estimate_full(x, alpha).theta_hat
-            else:
-                est[r] = estimate_proxy(x, alpha).theta_hat
+            est[r] = fn(x)
             ok[r] = True
         except FracmomError:
             pass
     return est, ok
 
 
-def _mc_block(design: McDesign, task: tuple[int, int]) -> list[McRecord]:
-    di, ni = task
-    spec = design.distributions[di]
-    n = design.n_values[ni]
-    samples = _draw_block(design, di, ni)
-    ols_est = np.array([float(np.mean(x)) for x in samples])
-    all_ok = np.ones(design.replicates, dtype=bool)
+def _mc_block(design: McDesign, g2_theo: dict,
+              task: tuple[int, int]) -> list[McRecord]:
+    spec, n, samples, ols_est = _draw_block(design, task)
     records = []
     for estimator in design.estimators:
         if estimator == "ols":
-            records.append(_aggregate(spec, n, None, "ols", ols_est, all_ok,
-                                      ols_est, design.base_seed))
+            records.append(_aggregate(spec, n, None, "ols", ols_est,
+                                      np.ones(len(samples), dtype=bool),
+                                      ols_est, design.base_seed, None))
             continue
         for alpha in design.alpha_values:
             if estimator == "full" and spec.infinite_variance:
-                # the weight system has no meaning without a second moment
-                records.append(McRecord(spec.name, n, alpha, estimator, None,
-                                        None, None, None, None, None, 0,
-                                        design.base_seed))
-                continue
-            est, ok = _estimate_cell(samples, estimator, alpha)
+                # the weight system has no meaning without a second moment,
+                # so the all-False mask refuses every replicate
+                est, ok = ols_est, np.zeros(len(samples), dtype=bool)
+            else:
+                est, ok = _cell(samples, _estimator(estimator, alpha))
             records.append(_aggregate(spec, n, alpha, estimator, est, ok,
-                                      ols_est, design.base_seed))
+                                      ols_est, design.base_seed,
+                                      g2_theo[task[0], alpha]))
     return records
 
 
@@ -180,7 +187,9 @@ def _worker_count(workers: int | None) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _run_blocks(block_fn, tasks, workers: int | None) -> list:
+def _run_blocks(block_fn, design: McDesign, workers: int | None) -> list:
+    tasks = [(di, ni) for di in range(len(design.distributions))
+             for ni in range(len(design.n_values))]
     w = _worker_count(workers)
     if w > 1:
         with ThreadPoolExecutor(max_workers=w) as pool:
@@ -193,46 +202,31 @@ def _run_blocks(block_fn, tasks, workers: int | None) -> list:
 def run_mc(design: McDesign, workers: int | None = None) -> list[McRecord]:
     """Run the design cell by cell; per-replicate estimator failures are
     skipped and reflected in the replicates count, never aborting the run."""
-    tasks = [(di, ni) for di in range(len(design.distributions))
-             for ni in range(len(design.n_values))]
-    return _run_blocks(partial(_mc_block, design), tasks, workers)
+    # only proxy and full cells carry a g2 reference
+    alphas = design.alpha_values if set(design.estimators) - {"ols"} else ()
+    g2_theo = {(di, a): _g2_theoretical(spec, a)
+               for di, spec in enumerate(design.distributions) for a in alphas}
+    return _run_blocks(partial(_mc_block, design, g2_theo), design, workers)
 
 
 def _baseline_block(design: McDesign, task: tuple[int, int]) -> list[McRecord]:
-    di, ni = task
-    spec = design.distributions[di]
-    n = design.n_values[ni]
-    samples = _draw_block(design, di, ni)
-    ols_est = np.array([float(np.mean(x)) for x in samples])
-    m = design.replicates
+    spec, n, samples, ols_est = _draw_block(design, task)
+    # the "mean" baseline's mse, by the same arithmetic
+    mean_mse = float(np.mean((ols_est - spec.true_location) ** 2))
     records = []
     for name in BASELINE_IDS:
-        est = np.full(m, np.nan)
-        ok = np.zeros(m, dtype=bool)
-        for r, x in enumerate(samples):
-            try:
-                est[r] = run_baseline(name, x)
-                ok[r] = True
-            except FracmomError:
-                pass
-        records.append(_aggregate(spec, n, None, name, est, ok, ols_est,
-                                  design.base_seed))
-    mean_mse = {(r.distribution, r.n): r.mse for r in records
-                if r.estimator == "mean"}
-    out = []
-    for r in records:
-        denom = mean_mse.get((r.distribution, r.n))
-        rel = r.mse / denom if (r.mse is not None and denom) else None
-        out.append(replace(r, rel_mse=rel))
-    return out
+        est, ok = _cell(samples, _estimator(name))
+        r = _aggregate(spec, n, None, name, est, ok, ols_est,
+                       design.base_seed, None)
+        rel = r.mse / mean_mse if (r.mse is not None and mean_mse) else None
+        records.append(replace(r, rel_mse=rel))
+    return records
 
 
 def run_baseline_mc(design: McDesign, workers: int | None = None,
                     ) -> list[McRecord]:
     """Same design, six robust baselines, with MSE relative to the mean."""
-    tasks = [(di, ni) for di in range(len(design.distributions))
-             for ni in range(len(design.n_values))]
-    return _run_blocks(partial(_baseline_block, design), tasks, workers)
+    return _run_blocks(partial(_baseline_block, design), design, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +236,6 @@ def run_baseline_mc(design: McDesign, workers: int | None = None,
 BENCH_ESTIMATORS = ("mean", "median", "huber", "median_of_means", "proxy",
                     "full")
 BENCH_ALPHA = 0.05
-
-
-def _bench_call(name: str):
-    if name == "proxy":
-        return lambda x: estimate_proxy(x, BENCH_ALPHA).theta_hat
-    if name == "full":
-        return lambda x: estimate_full(x, BENCH_ALPHA).theta_hat
-    return lambda x: run_baseline(name, x)
 
 
 def run_bench(n_values, estimators=BENCH_ESTIMATORS, batch: int = 10,
@@ -262,7 +248,7 @@ def run_bench(n_values, estimators=BENCH_ESTIMATORS, batch: int = 10,
     for n in n_values:
         x = sample(spec, int(n), [seed, int(n)])
         for name in estimators:
-            call = _bench_call(name)
+            call = _estimator(name, BENCH_ALPHA)
             call(x)  # warm-up
             per_call = []
             for _ in range(repeats):

@@ -86,6 +86,14 @@ class TestMcCommand:
         assert lines[0].startswith("distribution,n,alpha")
         assert len(lines) == 1 + 2  # ols + one proxy cell
 
+    def test_unknown_estimator_is_usage_error(self, tmp_path):
+        out = tmp_path / "mc"
+        code = cli_main(["mc", "--dist", "laplace", "--n", "50", "--alpha",
+                         "0.05", "--replicates", "10", "--estimators",
+                         "huber", "--out", str(out)])
+        assert code == 1
+        assert not (out / "mc_results.csv").exists()
+
     def test_json_design(self, tmp_path):
         design = {"distributions": ["gg:1.5"], "n_values": [25],
                   "alpha_values": [0.95], "replicates": 20, "base_seed": 9,

@@ -14,7 +14,6 @@ from fracmom import (
     g2_classical,
     g2_closed_form,
     g2_sweep,
-    g2_symmetric_power_endpoint,
     g2_with_flag,
     parse_spec,
     second_exponent,
@@ -22,6 +21,13 @@ from fracmom import (
 )
 
 LAPLACE_RAW = parse_spec("laplace", standardized=False)
+
+
+def g2_symmetric_power_endpoint(c2: float, nu1: float, nu3: float,
+                                nu4: float) -> float:
+    """Independent alpha = 1 ratio for symmetric laws from {c2, nu1, nu3, nu4}:
+    (c2*nu4 - nu3^2) / (c2*(nu4 - 4*nu3*nu1 + 4*c2*nu1^2))."""
+    return (c2 * nu4 - nu3**2) / (c2 * (nu4 - 4.0 * nu3 * nu1 + 4.0 * c2 * nu1**2))
 
 
 class TestCorrelantSystem:

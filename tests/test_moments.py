@@ -6,7 +6,6 @@ from scipy import special
 
 from fracmom import (
     FractionalMomentSet,
-    MomentEstimatorConfig,
     NonFiniteMoment,
     abs_moment,
     empirical_moments,
@@ -45,8 +44,7 @@ class TestEmpiricalMoments:
     def test_winsorization_caps_upper_tail(self):
         x = np.array([0.5, 1.0, 1.5, 2.0, 100.0])
         plain = empirical_moments(x, 0.0, 2.0)
-        wins = empirical_moments(x, 0.0, 2.0,
-                                 MomentEstimatorConfig(winsor_fraction=0.25))
+        wins = empirical_moments(x, 0.0, 2.0, winsor_fraction=0.25)
         cap = np.quantile(np.abs(x), 0.75)
         capped = np.minimum(np.abs(x), cap)
         assert wins.c2 == pytest.approx(np.mean(capped**2))
@@ -64,6 +62,10 @@ class TestEmpiricalMoments:
             empirical_moments([], 0.0, 1.0)
         with pytest.raises(ValueError):
             empirical_moments([1.0], 0.0, 0.0)
+        with pytest.raises(ValueError):
+            empirical_moments([1.0], 0.0, 1.0, winsor_fraction=0.3)
+        with pytest.raises(ValueError):
+            empirical_moments([1.0], 0.0, 1.0, zero_floor=0.0)
 
     def test_nonnegative_fields_enforced(self):
         with pytest.raises(ValueError):

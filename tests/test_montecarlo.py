@@ -73,6 +73,16 @@ class TestRunMc:
         assert 0.9 <= recs[0.3].are <= 1.1
 
 
+class TestDesignValidation:
+    def test_unknown_estimator_and_bad_alpha_rejected(self):
+        laplace = (parse_spec("laplace"),)
+        with pytest.raises(ValueError, match="huber"):
+            McDesign(laplace, (50,), (0.05,), replicates=10,
+                     estimators=("ols", "huber"))
+        with pytest.raises(ValueError, match="alpha"):
+            McDesign(laplace, (50,), (0.05, 1.5), replicates=10)
+
+
 class TestCauchyHandling:
     def test_full_refused_proxy_allowed(self):
         design = McDesign((parse_spec("cauchy"),), (50,), (0.05,),
