@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +65,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=("full", "proxy", "ols"), default="full")
 
-    p = sub.add_parser("mc", help="Monte Carlo over a design")
+    design_flags = argparse.ArgumentParser(add_help=False)
+    design_flags.add_argument("--dist", nargs="+", default=None)
+    design_flags.add_argument("--n", type=int, nargs="+", default=None)
+    design_flags.add_argument("--replicates", type=int, default=None)
+    design_flags.add_argument("--seed", type=int, default=None)
+    design_flags.add_argument("--out", required=True, help="output directory")
+
+    p = sub.add_parser("mc", parents=[design_flags],
+                       help="Monte Carlo over a design")
     p.add_argument("--design", default=None, help="JSON design file")
-    p.add_argument("--dist", nargs="+", default=None)
-    p.add_argument("--n", type=int, nargs="+", default=None)
     p.add_argument("--alpha", type=float, nargs="+", default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--estimators", nargs="+", choices=MC_ESTIMATORS,
                    default=None)
-    p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("baselines", help="robust baselines on the MC design")
-    p.add_argument("--dist", nargs="+", default=None)
-    p.add_argument("--n", type=int, nargs="+", default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="output directory")
+    sub.add_parser("baselines", parents=[design_flags],
+                   help="robust baselines on the MC design")
 
     p = sub.add_parser("calibrate", help="select alpha from data or a family")
     p.add_argument("--data", default=None)
@@ -104,27 +105,40 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# McDesign field -> conversion of its JSON or flag value
+_DESIGN_FIELDS = {
+    "distributions": lambda v: tuple(parse_spec(s) for s in v),
+    "n_values": lambda v: tuple(int(n) for n in v),
+    "alpha_values": lambda v: tuple(float(a) for a in v),
+    "replicates": int,
+    "base_seed": int,
+    "estimators": tuple,
+}
+
+
 def _design_from_args(args) -> McDesign:
-    base = default_design()
+    """The design of ``--design`` or of the flags; a field left out keeps
+    ``default_design()``'s value.  A malformed design is a usage error."""
     if getattr(args, "design", None):
         with open(args.design, encoding="utf-8") as fh:
             raw = json.load(fh)
-        return McDesign(
-            tuple(parse_spec(s) for s in raw["distributions"]),
-            tuple(int(v) for v in raw["n_values"]),
-            tuple(float(v) for v in raw["alpha_values"]),
-            int(raw.get("replicates", base.replicates)),
-            int(raw.get("base_seed", base.base_seed)),
-            tuple(raw.get("estimators", base.estimators)),
-        )
-    return McDesign(
-        tuple(parse_spec(s) for s in args.dist) if args.dist else base.distributions,
-        tuple(args.n) if args.n else base.n_values,
-        tuple(args.alpha) if getattr(args, "alpha", None) else base.alpha_values,
-        args.replicates if args.replicates else base.replicates,
-        args.seed if args.seed is not None else base.base_seed,
-        tuple(args.estimators) if getattr(args, "estimators", None) else base.estimators,
-    )
+        if not isinstance(raw, dict):
+            raise UsageError(f"{args.design}: a design must be a JSON object")
+    else:
+        raw = {"distributions": args.dist, "n_values": args.n,
+               "alpha_values": getattr(args, "alpha", None),
+               "replicates": args.replicates, "base_seed": args.seed,
+               "estimators": getattr(args, "estimators", None)}
+    unknown = sorted(set(raw) - set(_DESIGN_FIELDS))
+    if unknown:
+        raise UsageError(f"unknown design keys {unknown}; "
+                         f"choose from {tuple(_DESIGN_FIELDS)}")
+    try:
+        return replace(default_design(),
+                       **{k: _DESIGN_FIELDS[k](v) for k, v in raw.items()
+                          if v is not None})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid design: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -149,24 +163,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _cmd_mc(args) -> int:
+def _cmd_design_run(run, write, name, args) -> int:
+    design = _design_from_args(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    design = _design_from_args(args)
-    records = run_mc(design)
-    path = out / "mc_results.csv"
-    write_mc_csv(records, path)
-    print(f"{len(records)} cells -> {path}")
-    return 0
-
-
-def _cmd_baselines(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    design = _design_from_args(args)
-    records = run_baseline_mc(design)
-    path = out / "baselines.csv"
-    write_baseline_csv(records, path)
+    records = run(design)
+    path = out / name
+    write(records, path)
     print(f"{len(records)} cells -> {path}")
     return 0
 
@@ -186,7 +189,7 @@ def _cmd_calibrate(args) -> int:
                                       seed=args.seed)
         else:
             result = calibrate_grid_mc(x, alpha_grid(args.step, args.band),
-                                       bootstrap_b=max(100, args.bootstrap),
+                                       bootstrap_b=args.bootstrap,
                                        seed=args.seed)
     if args.out:
         write_calibration_csv(result, args.out)
@@ -218,8 +221,7 @@ def _cmd_reproduce_all(args) -> int:
     design = default_design(replicates=args.replicates, base_seed=seed)
     write_mc_csv(run_mc(design), out / "mc_results.csv")
 
-    base_design = McDesign(design.distributions, (100,), (0.05,),
-                           replicates=args.replicates, base_seed=seed)
+    base_design = replace(design, n_values=(100,), alpha_values=(0.05,))
     write_baseline_csv(run_baseline_mc(base_design), out / "baselines.csv")
 
     rows = []
@@ -236,8 +238,6 @@ def _cmd_reproduce_all(args) -> int:
     result = calibrate_oracle(parse_spec("laplace"))
     write_calibration_csv(result, out / "calibrate_oracle_laplace.csv")
 
-    write_bench_csv(run_bench((100, 1000, 10000), batch=10, seed=seed),
-                    out / "bench.csv")
     print(f"reproduced CSVs in {out}")
     return 0
 
@@ -245,8 +245,9 @@ def _cmd_reproduce_all(args) -> int:
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "estimate": _cmd_estimate,
-    "mc": _cmd_mc,
-    "baselines": _cmd_baselines,
+    "mc": partial(_cmd_design_run, run_mc, write_mc_csv, "mc_results.csv"),
+    "baselines": partial(_cmd_design_run, run_baseline_mc, write_baseline_csv,
+                         "baselines.csv"),
     "calibrate": _cmd_calibrate,
     "bench": _cmd_bench,
     "reproduce-all": _cmd_reproduce_all,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fracmom import sample, parse_spec
+from fracmom import default_design, sample, parse_spec
 from fracmom.cli import cli_main, read_data_file
 
 
@@ -105,6 +105,49 @@ class TestMcCommand:
         body = (out / "mc_results.csv").read_text()
         assert "gg:1.5" in body
 
+    def test_design_fields_default(self, tmp_path):
+        design = {"n_values": [20], "alpha_values": [0.05], "replicates": 10,
+                  "estimators": ["ols"]}
+        dfile = tmp_path / "design.json"
+        dfile.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--design", str(dfile), "--out", str(out)]) == 0
+        rows = (out / "mc_results.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == \
+            [s.name for s in default_design().distributions]
+
+    @pytest.mark.parametrize("change", [
+        {"n_value": [25]},
+        {"estimators": ["huber"]},
+        {"alpha_values": [1.5]},
+        {"replicates": 0},
+        None,
+    ], ids=["unknown-key", "estimator", "alpha", "replicates", "not-object"])
+    def test_bad_design_is_usage_error(self, tmp_path, capsys, change):
+        design = {"distributions": ["laplace"], "n_values": [20],
+                  "alpha_values": [0.05], "replicates": 10, "base_seed": 3,
+                  "estimators": ["ols"]}
+        design = [design] if change is None else {**design, **change}
+        dfile = tmp_path / "design.json"
+        dfile.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--design", str(dfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--alpha", "0.05", "--estimators", "ols"],
+        ["baselines"],
+    ], ids=["mc", "baselines"])
+    def test_zero_replicates_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = cli_main(argv + ["--dist", "laplace", "--n", "20",
+                                "--replicates", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
 
 class TestBaselinesCommand:
     def test_writes_csv(self, tmp_path):
@@ -135,6 +178,11 @@ class TestCalibrateCommand:
     def test_plugin_needs_data(self):
         assert cli_main(["calibrate", "--criterion", "plugin"]) == 1
 
+    def test_grid_uses_bootstrap_count(self, data_file, capsys):
+        assert cli_main(["calibrate", "--data", str(data_file), "--criterion",
+                         "grid", "--bootstrap", "30"]) == 2
+        assert "bootstrap_b must be >= 100" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_writes_records(self, tmp_path):
@@ -154,7 +202,6 @@ class TestReproduceAll:
         assert "mc_results.csv" in names and "baselines.csv" in names
         assert any(n.startswith("sweep_") for n in names)
         assert "topographic.csv" in names
+        assert "bench.csv" not in names
         for name in names:
-            if name == "bench.csv":  # wall-clock timings differ by design
-                continue
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
