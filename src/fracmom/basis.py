@@ -93,5 +93,9 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(x == 0.0, 0.0, np.sign(x) * np.power(np.abs(x), p))
     else:
-        out = np.sign(x) * np.power(np.abs(x), p)
+        # one fresh array per call, not three: the proxy calls this once per
+        # score evaluation, and at large N fresh arrays cost page faults
+        out = np.abs(x, out=np.empty_like(x))
+        np.power(out, p, out=out)
+        np.copysign(out, x, out=out)
     return out if np.ndim(xi) else float(out)

@@ -15,11 +15,13 @@ import numpy as np
 
 from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec, make_rng, shape_summary
-from .efficiency import G2Curve, alpha_grid, g2_with_flag, g2_sweep
-from .errors import AllGridDegenerate, DegenerateSample, FracmomError, \
-    SmallSample
-from .estimators import estimate_full
-from .moments import empirical_moments
+# estimate_full, empirical_moments and g2_with_flag are no longer called
+# here; perfbench/tracer.py binds them through this module
+from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
+    g2_with_flag  # noqa: F401
+from .errors import AllGridDegenerate, DegenerateSample, SmallSample
+from .estimators import estimate_full, estimate_full_rows  # noqa: F401
+from .moments import empirical_moments, moment_rows  # noqa: F401
 
 AMBIGUITY_SPREAD = 0.1  # bootstrap alpha* spread that flags an unstable pick
 FLAT_CURVE_TOL = 1e-6
@@ -62,23 +64,30 @@ def calibrate_oracle(spec: DistributionSpec, grid_step: float = 0.05,
     return CalibrationResult(curve.argmin_alpha, "oracle", curve, interval, flat)
 
 
-def _empirical_curve(resid: np.ndarray, alphas: np.ndarray,
-                     band: float) -> G2Curve:
-    values = np.full(alphas.size, np.nan)
-    flags = np.zeros(alphas.size, dtype=bool)
+def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in ratio and degeneracy flag of every residual row (axis 0) at
+    every grid alpha (axis 1)."""
+    values = np.empty((rows.shape[0], alphas.size))
+    flags = np.empty(values.shape, dtype=bool)
     for idx, a in enumerate(alphas):
-        m = empirical_moments(resid, 0.0, second_exponent(a),
-                              winsor_fraction=PLUGIN_WINSOR)
-        try:
-            values[idx], flags[idx] = g2_with_flag(m)
-        except FracmomError:
-            flags[idx] = True
-    if flags.all() or not np.isfinite(values[~flags]).any():
-        raise AllGridDegenerate("no usable ratio value on the alpha grid")
-    masked = np.where(flags | ~np.isfinite(values), np.inf, values)
-    best = int(np.argmin(masked))
-    return G2Curve(alphas, values, flags, float(alphas[best]),
-                   float(values[best]), (0.5 - band, 0.5 + band))
+        m = moment_rows(rows, 0.0, second_exponent(a),
+                        winsor_fraction=PLUGIN_WINSOR)
+        values[:, idx], flags[:, idx] = g2_rows(m)
+    return values, flags
+
+
+def _with_resamples(resid: np.ndarray, bootstrap_b: int,
+                    seed: int) -> np.ndarray:
+    """The residuals, then bootstrap_b resamples of them re-centred on their
+    own means, as the rows of one matrix."""
+    rows = np.empty((bootstrap_b + 1, resid.size))
+    rows[0] = resid
+    rng = make_rng([seed, 2401])
+    for row in rows[1:]:
+        boot = rng.choice(resid, size=resid.size, replace=True)
+        row[:] = boot - float(np.mean(boot))
+    return rows
 
 
 def calibrate_plugin(sample, grid_step: float = 0.05,
@@ -89,25 +98,25 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
 
     Bootstrap resampling of the residuals yields a sensitivity interval for
     alpha*; a spread above 0.1 marks the choice ambiguous and, when the
-    sample is large enough, attaches the entropy diagnostic.
+    sample is large enough, attaches the entropy diagnostic.  The residuals
+    and their resamples are evaluated as the rows of one matrix; a resample
+    with no usable ratio is skipped.
     """
     x = np.asarray(sample, dtype=float)
     if x.size < 30:
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
     resid = x - float(np.mean(x))
     alphas = alpha_grid(grid_step, band)
-    curve = _empirical_curve(resid, alphas, band)
+    values, flags = _empirical_curves(
+        _with_resamples(resid, bootstrap_b, seed), alphas)
+    usable = ~flags & np.isfinite(values)
+    if not usable[0].any():
+        raise AllGridDegenerate("no usable ratio value on the alpha grid")
+    best = np.argmin(np.where(usable, values, np.inf), axis=1)
+    curve = G2Curve(alphas, values[0], flags[0], float(alphas[best[0]]),
+                    float(values[0, best[0]]), (0.5 - band, 0.5 + band))
 
-    picks = [curve.argmin_alpha]
-    rng = make_rng([seed, 2401])
-    for _ in range(bootstrap_b):
-        boot = rng.choice(resid, size=resid.size, replace=True)
-        boot = boot - float(np.mean(boot))
-        try:
-            picks.append(_empirical_curve(boot, alphas, band).argmin_alpha)
-        except AllGridDegenerate:
-            continue
-    picks = np.asarray(picks)
+    picks = alphas[best[usable.any(axis=1)]]
     interval = (float(picks.min()), float(picks.max()))
     spread = float(np.std(picks))
     ambiguous = spread > AMBIGUITY_SPREAD
@@ -126,7 +135,8 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     """Pick alpha by bootstrap variance of the full estimator on the sample.
 
     The sensitivity interval collects every grid alpha whose bootstrap
-    variance is within 5% of the minimum.
+    variance is within 5% of the minimum.  The resamples are the rows of one
+    matrix, estimated together at each alpha.
     """
     if bootstrap_b < 100:
         raise ValueError("bootstrap_b must be >= 100")
@@ -135,11 +145,14 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     rng = make_rng([seed, 7919])
-    boots = [rng.choice(x, size=x.size, replace=True) for _ in range(bootstrap_b)]
+    boots = np.stack([rng.choice(x, size=x.size, replace=True)
+                      for _ in range(bootstrap_b)])
     variances = np.empty(alphas.size)
     for idx, a in enumerate(alphas):
-        est = [estimate_full(b, a).theta_hat for b in boots]
-        variances[idx] = float(np.var(est, ddof=1))
+        est = estimate_full_rows(boots, a)
+        if est.errors:
+            raise est.errors[min(est.errors)]
+        variances[idx] = float(np.var(est.theta_hat, ddof=1))
     best = int(np.argmin(variances))
     close = alphas[variances <= 1.05 * variances[best]]
     interval = (float(close.min()), float(close.max()))

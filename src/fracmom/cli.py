@@ -105,30 +105,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _count(v) -> int:
+    """A whole number: an integer, or an integral float such as 100.0."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{v!r} is not a whole number")
+    return int(v)
+
+
 # McDesign field -> conversion of its JSON or flag value
 _DESIGN_FIELDS = {
     "distributions": lambda v: tuple(parse_spec(s) for s in v),
-    "n_values": lambda v: tuple(int(n) for n in v),
+    "n_values": lambda v: tuple(_count(n) for n in v),
     "alpha_values": lambda v: tuple(float(a) for a in v),
-    "replicates": int,
-    "base_seed": int,
+    "replicates": _count,
+    "base_seed": _count,
     "estimators": tuple,
 }
 
 
 def _design_from_args(args) -> McDesign:
     """The design of ``--design`` or of the flags; a field left out keeps
-    ``default_design()``'s value.  A malformed design is a usage error."""
+    ``default_design()``'s value.  A malformed design, or ``--design``
+    together with a design flag, is a usage error."""
+    flags = (("--dist", "distributions", args.dist),
+             ("--n", "n_values", args.n),
+             ("--alpha", "alpha_values", getattr(args, "alpha", None)),
+             ("--replicates", "replicates", args.replicates),
+             ("--seed", "base_seed", args.seed),
+             ("--estimators", "estimators", getattr(args, "estimators", None)))
     if getattr(args, "design", None):
+        given = [flag for flag, _, v in flags if v is not None]
+        if given:
+            raise UsageError(f"--design cannot be combined with "
+                             f"{', '.join(given)}")
         with open(args.design, encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise UsageError(f"{args.design}: a design must be a JSON object")
     else:
-        raw = {"distributions": args.dist, "n_values": args.n,
-               "alpha_values": getattr(args, "alpha", None),
-               "replicates": args.replicates, "base_seed": args.seed,
-               "estimators": getattr(args, "estimators", None)}
+        raw = {key: v for _, key, v in flags}
     unknown = sorted(set(raw) - set(_DESIGN_FIELDS))
     if unknown:
         raise UsageError(f"unknown design keys {unknown}; "

@@ -8,15 +8,15 @@ loses rank, so sweeps carry an exclusion band around that point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec
 from .errors import DegenerateRatio, NonPositiveDenominator, SingularSystem
-from .moments import FractionalMomentSet, theoretical_moments
+from .moments import FractionalMomentSet, MomentRows, theoretical_moments
 
 DET_THRESHOLD = 1e-14
 COND_CAP = 1e10
@@ -38,15 +38,52 @@ class CorrelantSystem:
     cond: float
 
 
-def _cond_2x2(f11: float, f12: float, f22: float) -> float:
-    # symmetric 2x2: eigenvalues from trace/discriminant
+class SystemRows(NamedTuple):
+    """The weight systems of M moment rows: each field is an (M,) array named
+    as in CorrelantSystem (b1 is 1 in every row), plus the rows that
+    build_correlant_system refuses as singular."""
+
+    f11: np.ndarray
+    f12: np.ndarray
+    f22: np.ndarray
+    b2: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    det: np.ndarray
+    singular: np.ndarray
+
+    def cond(self) -> np.ndarray:
+        """Condition number of every row's F."""
+        return _cond_2x2(self.f11, self.f12, self.f22)
+
+
+def _cond_2x2(f11, f12, f22):
+    # symmetric 2x2: eigenvalues 0.5 * (tr +- disc); with t = |tr| their
+    # magnitudes are exactly 0.5 * (t + disc) >= |0.5 * (t - disc)|
+    t = np.abs(f11 + f22)
+    disc = np.sqrt((f11 - f22) ** 2 + 4.0 * f12 * f12)
+    lo = np.abs(0.5 * (t - disc))
+    return np.where(lo > 0.0, 0.5 * (t + disc) / lo, np.inf)
+
+
+def system_rows(m: MomentRows) -> SystemRows:
+    """Assemble and solve F h = b for every row of a moment batch.  Rows with
+    non-finite moments come out non-finite, not refused; call it under
+    np.errstate, since singular rows divide by a zero determinant."""
+    f11, nu_pm1, f12, nu_2p, sigma_p = m.values
+    f22 = nu_2p - sigma_p**2
+    b2 = m.p * nu_pm1
+    det = f11 * f22 - f12 * f12
+    singular = np.abs(det) < DET_THRESHOLD
+    # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
+    # rows where that bound is not 4x under COND_CAP (rounding moves cond by
+    # far less) need their condition number to settle cond > COND_CAP
     tr = f11 + f22
-    disc = math.sqrt(max((f11 - f22) ** 2 + 4.0 * f12 * f12, 0.0))
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    hi = max(abs(lam1), abs(lam2))
-    lo = min(abs(lam1), abs(lam2))
-    return hi / lo if lo > 0.0 else math.inf
+    if not (tr * tr < 0.25 * COND_CAP * det).all():
+        singular |= _cond_2x2(f11, f12, f22) > COND_CAP
+    h1 = (f22 - f12 * b2) / det  # b1 = 1
+    h2 = (f11 * b2 - f12) / det
+    return SystemRows(f11, f12, f22, b2, h1, h2, det, singular)
 
 
 def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
@@ -57,18 +94,26 @@ def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
     under DET_THRESHOLD or conditioning exceeds COND_CAP.
     """
     m.require_finite()
-    f11 = m.c2
-    f12 = m.nu_pp1
-    f22 = m.nu_2p - m.sigma_p**2
-    b1 = 1.0
-    b2 = m.p * m.nu_pm1
-    det = f11 * f22 - f12 * f12
-    cond = _cond_2x2(f11, f12, f22)
-    if abs(det) < DET_THRESHOLD or cond > COND_CAP:
-        raise SingularSystem(f"det={det:.3e}, cond={cond:.3e}")
-    h1 = (f22 * b1 - f12 * b2) / det
-    h2 = (f11 * b2 - f12 * b1) / det
-    return CorrelantSystem(f11, f12, f22, b1, b2, h1, h2, det, cond)
+    with np.errstate(all="ignore"):
+        s = system_rows(m.rows())
+        cond = float(s.cond()[0])
+    if s.singular[0]:
+        raise SingularSystem(f"det={s.det[0]:.3e}, cond={cond:.3e}")
+    f11, f12, f22, b2, h1, h2, det = (float(v[0]) for v in s[:-1])
+    return CorrelantSystem(f11, f12, f22, 1.0, b2, h1, h2, det, cond)
+
+
+def _g2_terms(m: MomentRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ratio, denominator, 0/0 collapse) of every row of a moment batch;
+    call it under np.errstate."""
+    p = m.p
+    c2, nu_pm1, nu_pp1, nu_2p, sigma_p = m.values
+    v22 = nu_2p - sigma_p**2
+    num = c2 * v22 - nu_pp1**2
+    den = c2 * (v22 - 2.0 * p * nu_pp1 * nu_pm1 + p * p * c2 * nu_pm1**2)
+    collapsed = ((np.abs(num) < RATIO_COLLAPSE_TOL)
+                 & (np.abs(den) < RATIO_COLLAPSE_TOL))
+    return num / den, den, collapsed
 
 
 def g2_closed_form(m: FractionalMomentSet) -> float:
@@ -80,15 +125,13 @@ def g2_closed_form(m: FractionalMomentSet) -> float:
     the denominator comes out <= 0 away from the collapse point.
     """
     m.require_finite()
-    p = m.p
-    v22 = m.nu_2p - m.sigma_p**2
-    num = m.c2 * v22 - m.nu_pp1**2
-    den = m.c2 * (v22 - 2.0 * p * m.nu_pp1 * m.nu_pm1 + p * p * m.c2 * m.nu_pm1**2)
-    if abs(num) < RATIO_COLLAPSE_TOL and abs(den) < RATIO_COLLAPSE_TOL:
+    with np.errstate(all="ignore"):
+        ratio, den, collapsed = _g2_terms(m.rows())
+    if collapsed[0]:
         raise DegenerateRatio("0/0 collapse; the ratio's limit there is 1")
-    if den <= 0.0:
-        raise NonPositiveDenominator(f"denominator {den:.3e} is not positive")
-    return num / den
+    if den[0] <= 0.0:
+        raise NonPositiveDenominator(f"denominator {den[0]:.3e} is not positive")
+    return float(ratio[0])
 
 
 def g2_with_flag(m: FractionalMomentSet) -> tuple[float, bool]:
@@ -97,6 +140,18 @@ def g2_with_flag(m: FractionalMomentSet) -> tuple[float, bool]:
         return g2_closed_form(m), False
     except DegenerateRatio:
         return 1.0, True
+
+
+def g2_rows(m: MomentRows) -> tuple[np.ndarray, np.ndarray]:
+    """g2_with_flag for every row of a moment batch, as (value, flag) arrays.
+    A row that g2_with_flag refuses (non-finite moments, non-positive
+    denominator) is flagged with value NaN."""
+    with np.errstate(all="ignore"):
+        ratio, den, collapsed = _g2_terms(m)
+    refused = ~m.finite() | (~collapsed & (den <= 0.0))
+    value = np.where(collapsed, 1.0, ratio)
+    value[refused] = np.nan
+    return value, collapsed | refused
 
 
 def g2_classical(gamma3: float, gamma4: float) -> float:

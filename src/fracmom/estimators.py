@@ -9,15 +9,18 @@ unusable, and the sample mean inside the protected band around alpha = 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import optimize
 
 from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
-from .efficiency import build_correlant_system
-from .errors import BracketFailure, NonFiniteInput, SingularSystem
-from .moments import empirical_moments
+# build_correlant_system and empirical_moments are no longer called here;
+# perfbench/tracer.py binds them through this module
+from .efficiency import build_correlant_system, system_rows  # noqa: F401
+from .errors import BracketFailure, FracmomError, NonFiniteInput, \
+    NonFiniteMoment
+from .moments import empirical_moments, moment_rows  # noqa: F401
 
 METHOD_FULL = "full"
 METHOD_PROXY = "proxy"
@@ -43,6 +46,43 @@ class EstimateResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class EstimateRows:
+    """Results of one estimator on every row of an (M, N) sample matrix.
+
+    Each array holds the EstimateResult field of the same name, one entry
+    per row; ``errors`` maps every failed row to the exception that row
+    raises on its own, and leaves its ``theta_hat`` NaN.
+    """
+
+    theta_hat: np.ndarray
+    method: np.ndarray
+    outer_iters: np.ndarray
+    final_step: np.ndarray
+    cond_last: np.ndarray
+    det_last: np.ndarray
+    converged: np.ndarray
+    errors: dict[int, Exception]
+
+    @property
+    def ok(self) -> np.ndarray:
+        ok = np.ones(self.theta_hat.size, dtype=bool)
+        ok[list(self.errors)] = False
+        return ok
+
+    def result(self, r: int) -> EstimateResult:
+        """Row r as an EstimateResult; raises the row's error if it failed."""
+        if r in self.errors:
+            raise self.errors[r]
+        return EstimateResult(self.theta_hat.item(r), self.method[r],
+                              self.outer_iters.item(r),
+                              self.final_step.item(r), self.cond_last.item(r),
+                              self.det_last.item(r), self.converged.item(r))
+
+
+_RESULT_FIELDS = tuple(f.name for f in fields(EstimateResult))
+
+
 def _as_clean_array(sample) -> np.ndarray:
     x = np.asarray(sample, dtype=float).ravel()
     if x.size == 0:
@@ -52,14 +92,27 @@ def _as_clean_array(sample) -> np.ndarray:
     return x
 
 
-def _robust_scale(x: np.ndarray) -> float:
-    mad = float(np.median(np.abs(x - np.median(x))))
-    return mad if mad > 0.0 else 1.0
+def _median(x: np.ndarray) -> np.ndarray:
+    """np.median along the last axis, by the same arithmetic."""
+    n = x.shape[-1]
+    k = n // 2
+    if n % 2:
+        return np.partition(x, k, axis=-1)[..., k]
+    part = np.partition(x, (k - 1, k), axis=-1)
+    return (part[..., k - 1] + part[..., k]) / 2.0
 
 
-def _tie_smoothing(x: np.ndarray, center: float, scale: float) -> float:
+def _robust_scale(x: np.ndarray) -> np.ndarray:
+    # MAD along the last axis, 1 where it is 0
+    dev = x - _median(x)[..., None]
+    mad = _median(np.abs(dev, out=dev))
+    return np.where(mad > 0.0, mad, 1.0)[()]
+
+
+def _tie_smoothing(x: np.ndarray, center, scale) -> np.ndarray:
     # two or more residuals exactly at zero trigger the smoothing scale
-    return 1e-6 * scale if int(np.sum(x == center)) >= 2 else 0.0
+    ties = np.add.reduce(x == center, axis=-1)
+    return np.where(ties >= 2, 1e-6 * scale, 0.0)[()]
 
 
 def estimate_ols(sample) -> EstimateResult:
@@ -76,44 +129,123 @@ def estimate_full(sample, alpha) -> EstimateResult:
     the current center, solves for the weights, and takes one clipped Newton
     step on the weighted score.  Falls back to the scalar proxy when the
     weight system is singular/ill-conditioned and to the mean inside the
-    protected alpha band.
+    protected alpha band.  The batch of one of estimate_full_rows.
     """
-    x = _as_clean_array(sample)
-    a = alpha_value(alpha)
-    if abs(a - 0.5) < ESTIMATOR_BAND:
-        return estimate_ols(x)
-    p = second_exponent(a)
-    scale = _robust_scale(x)
-    mu = float(np.mean(x))
-    floor = max(1e-12 * scale, _tie_smoothing(x, mu, scale))
-    sd = float(np.std(x, ddof=1)) if x.size > 1 else 0.0
-    if not np.isfinite(sd):
-        q75, q25 = np.percentile(x, [75.0, 25.0])
-        sd = (q75 - q25) / 1.349
-    clip = STEP_CLIP_SD * sd
+    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    return estimate_full_rows(x, alpha).result(0)
 
-    step = 0.0
-    converged = False
-    sys = None
-    iters = 0
-    for iters in range(1, MAX_OUTER_ITERS + 1):
-        m = empirical_moments(x, mu, p, zero_floor=floor)
+
+def estimate_full_rows(samples, alpha) -> EstimateRows:
+    """estimate_full on every row of an (M, N) matrix, all rows at once.
+
+    Reductions run along the rows, and every early exit or fallback is a
+    per-row mask, so row r's result is estimate_full(samples[r], alpha) bit
+    for bit whatever the other rows hold.  Rows routed to the proxy are
+    solved one by one.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be an (M, N) array")
+    rows, n = x.shape
+    if n == 0:
+        raise ValueError("empty sample")
+    a = alpha_value(alpha)
+    errors: dict[int, Exception] = {}
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        for r in np.flatnonzero(~finite):
+            errors[int(r)] = NonFiniteInput(
+                "sample contains NaN or infinite values")
+    mean = np.add.reduce(x, axis=-1) / n  # np.mean(x[r]) by its arithmetic
+    if abs(a - 0.5) < ESTIMATOR_BAND:
+        # the sample mean, as estimate_ols gives it
+        return EstimateRows(np.where(finite, mean, math.nan),
+                            np.full(rows, METHOD_OLS, dtype=object),
+                            np.zeros(rows, dtype=int), np.zeros(rows),
+                            np.full(rows, math.nan), np.full(rows, math.nan),
+                            np.ones(rows, dtype=bool), errors)
+
+    p = second_exponent(a)
+    theta, final_step, cond, det = np.full((4, rows), math.nan)
+    out = EstimateRows(theta, np.full(rows, METHOD_FULL, dtype=object),
+                       np.zeros(rows, dtype=int), final_step, cond, det,
+                       np.zeros(rows, dtype=bool), errors)
+    proxied = []
+    with np.errstate(all="ignore"):  # failed rows compute on garbage
+        scale = _robust_scale(x)
+        floor = np.maximum(1e-12 * scale, _tie_smoothing(x, mean[:, None], scale))
+        if n > 1:  # np.std(x, ddof=1) by the same arithmetic
+            dev = x - mean[:, None]
+            sd = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev),
+                                       axis=-1) / (n - 1))
+        else:
+            sd = np.zeros(rows)
+        if not np.isfinite(sd).all():
+            wide = finite & ~np.isfinite(sd)
+            if wide.any():
+                q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
+                sd[wide] = (q75 - q25) / 1.349
+        clip = STEP_CLIP_SD * sd
+
+        # indices of the rows still iterating, and their x, mean, mu, zero
+        # floor (as a column) and step bounds
+        ok = finite & (floor > 0.0)
+        live = np.flatnonzero(ok)
+        state = (x, mean, mean, floor[:, None], -clip, clip)
+        if live.size < rows:
+            for r in np.flatnonzero(finite & ~ok):
+                errors[int(r)] = ValueError("zero_floor must be > 0")
+            state = tuple(v[live] for v in state)
+        xs, xbar, mu, fl, lo, hi = state
+        for it in range(1, MAX_OUTER_ITERS + 1):
+            m = moment_rows(xs, mu[:, None], p, zero_floor=fl)
+            sys = system_rows(m)
+            _, nu_pm1, _, _, sigma_p = m.values
+            # the weighted score z and minus its slope in mu
+            z = sys.h1 * (xbar - mu) + sys.h2 * sigma_p
+            descent = sys.h1 + p * sys.h2 * nu_pm1
+            step = (z / descent).clip(lo, hi)
+            mu = mu + step
+            done = np.abs(step) < TOL * np.maximum(1.0, np.abs(mu))
+            usable = m.finite()
+            stepped = (usable & ~sys.singular & np.isfinite(descent)
+                       & (descent != 0.0))
+            last = it == MAX_OUTER_ITERS
+            if not last:
+                keep = stepped & ~done
+                if keep.all():
+                    continue
+            # record the rows that stop here
+            final = stepped if last else stepped & ~keep
+            if final.all():
+                r, final = live, slice(None)
+            else:
+                r = live[final]
+                for i in live[~usable]:
+                    errors[int(i)] = NonFiniteMoment(
+                        "moment set contains non-finite entries")
+                proxied.extend(live[usable & ~stepped])
+            theta[r] = mu[final]
+            out.outer_iters[r] = it
+            final_step[r] = step[final]
+            cond[r] = sys.cond()[final]
+            det[r] = sys.det[final]
+            out.converged[r] = done[final]
+            if last or not keep.any():
+                break
+            live = live[keep]
+            xs, xbar, mu, fl, lo, hi = (v[keep]
+                                        for v in (xs, xbar, mu, fl, lo, hi))
+
+    for r in proxied:
         try:
-            sys = build_correlant_system(m)
-        except SingularSystem:
-            return _proxy_result(x, a)
-        xi_bar = float(np.mean(x)) - mu
-        z = sys.h1 * xi_bar + sys.h2 * m.sigma_p
-        z_slope = -sys.h1 - p * sys.h2 * m.nu_pm1
-        if z_slope == 0.0 or not np.isfinite(z_slope):
-            return _proxy_result(x, a)
-        step = float(np.clip(-z / z_slope, -clip, clip))
-        mu += step
-        if abs(step) < TOL * max(1.0, abs(mu)):
-            converged = True
-            break
-    return EstimateResult(mu, METHOD_FULL, iters, step,
-                          sys.cond, sys.det, converged)
+            res = _proxy_result(x[r], a)
+        except FracmomError as exc:
+            errors[int(r)] = exc
+            continue
+        for name in _RESULT_FIELDS:
+            getattr(out, name)[r] = getattr(res, name)
+    return out
 
 
 def _proxy_result(x: np.ndarray, a: float) -> EstimateResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
@@ -50,11 +51,54 @@ class FractionalMomentSet:
         if not self.is_finite():
             raise NonFiniteMoment("moment set contains non-finite entries")
 
+    def rows(self) -> MomentRows:
+        """This set as a batch of one row."""
+        return MomentRows(self.p, np.array([[self.c2], [self.nu_pm1],
+                                            [self.nu_pp1], [self.nu_2p],
+                                            [self.sigma_p]]))
 
-def _abs_power_mean(a: np.ndarray, q: float, floor: float) -> float:
-    if q < 0.0:
-        a = np.maximum(a, floor)
-    return float(np.mean(a**q))
+
+class MomentRows(NamedTuple):
+    """Moment sets of M rows at one exponent.  Column r of ``values`` is row
+    r's (c2, nu_pm1, nu_pp1, nu_2p, sigma_p), as in FractionalMomentSet."""
+
+    p: float
+    values: np.ndarray  # (5, M)
+
+    def finite(self) -> np.ndarray:
+        """Rows whose five moments are all finite."""
+        return np.isfinite(self.values).all(axis=0)
+
+    def row(self, r: int) -> FractionalMomentSet:
+        return FractionalMomentSet(self.p, *(float(v) for v in self.values[:, r]))
+
+
+def moment_rows(x: np.ndarray, center, p: float,
+                winsor_fraction: float = 0.0, zero_floor=1e-12) -> MomentRows:
+    """Plug-in moment sets of the residuals of every row of the (M, N) array
+    ``x``.  ``center`` and ``zero_floor`` are scalars or (M, 1) columns;
+    the arguments are those of empirical_moments, unchecked."""
+    # three (M, N) arrays, reused through out=: fresh ones per power would
+    # cost page faults at large N
+    xi = x - center
+    a = np.abs(xi)
+    if winsor_fraction > 0.0:
+        cap = np.quantile(a, 1.0 - winsor_fraction, axis=-1, keepdims=True)
+        np.minimum(a, cap, out=a)
+    work = np.multiply(a, a)
+    sums = [np.add.reduce(work, axis=-1)]
+    for q in (p - 1.0, p + 1.0, 2.0 * p):
+        if q < 0.0:  # |residual| is clamped only under negative exponents
+            np.power(np.maximum(a, zero_floor, out=work), q, out=work)
+        else:
+            np.power(a, q, out=work)
+        sums.append(np.add.reduce(work, axis=-1))
+    signed = np.sign(xi, out=xi)
+    signed *= np.power(a, p, out=work)
+    sums.append(np.add.reduce(signed, axis=-1))
+    # np.mean's arithmetic, one pairwise sum per row and a division, without
+    # its per-call overhead
+    return MomentRows(p, np.array(sums) / x.shape[-1])
 
 
 def empirical_moments(sample, center: float, p: float,
@@ -75,20 +119,8 @@ def empirical_moments(sample, center: float, p: float,
         raise ValueError("empty sample")
     if p <= 0.0:
         raise ValueError("p must be > 0")
-    xi = x - center
-    a = np.abs(xi)
-    if winsor_fraction > 0.0:
-        cap = np.quantile(a, 1.0 - winsor_fraction)
-        a = np.minimum(a, cap)
-    sgn = np.sign(xi)
-    return FractionalMomentSet(
-        p=p,
-        c2=float(np.mean(a * a)),
-        nu_pm1=_abs_power_mean(a, p - 1.0, zero_floor),
-        nu_pp1=_abs_power_mean(a, p + 1.0, zero_floor),
-        nu_2p=_abs_power_mean(a, 2.0 * p, zero_floor),
-        sigma_p=float(np.mean(sgn * a**p)),
-    )
+    return moment_rows(x.reshape(1, -1), center, p, winsor_fraction,
+                       zero_floor).row(0)
 
 
 # ---------------------------------------------------------------------------

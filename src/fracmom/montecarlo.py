@@ -21,7 +21,7 @@ from .basis import alpha_value, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
-from .estimators import estimate_full, estimate_proxy
+from .estimators import estimate_full, estimate_full_rows, estimate_proxy
 from .moments import theoretical_moments
 
 WORKERS_ENV = "FRACMOM_WORKERS"
@@ -45,6 +45,8 @@ class McDesign:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if any(n < 1 for n in self.n_values):
+            raise ValueError(f"every n must be >= 1, got {self.n_values}")
         unknown = [e for e in self.estimators if e not in MC_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; "
@@ -124,14 +126,14 @@ def _aggregate(spec: DistributionSpec, n: int, alpha: float | None,
 
 
 def _draw_block(design: McDesign, task: tuple[int, int]):
-    """(spec, n, samples, per-replicate means) of one (distribution, N)."""
+    """(spec, n, samples, per-replicate means) of one (distribution, N); the
+    samples are the rows of one (replicates, N) matrix."""
     di, ni = task
     spec = design.distributions[di]
     n = design.n_values[ni]
-    samples = [sample(spec, n, [design.base_seed, di, ni, r])
-               for r in range(design.replicates)]
-    ols_est = np.array([float(np.mean(x)) for x in samples])
-    return spec, n, samples, ols_est
+    samples = np.stack([sample(spec, n, [design.base_seed, di, ni, r])
+                        for r in range(design.replicates)])
+    return spec, n, samples, np.mean(samples, axis=1)
 
 
 def _estimator(name: str, alpha: float | None = None):
@@ -144,7 +146,7 @@ def _estimator(name: str, alpha: float | None = None):
     return lambda x: run_baseline(name, x)
 
 
-def _cell(samples: list[np.ndarray], fn) -> tuple[np.ndarray, np.ndarray]:
+def _cell(samples: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate fn on every replicate; a FracmomError leaves ok False."""
     est = np.full(len(samples), np.nan)
     ok = np.zeros(len(samples), dtype=bool)
@@ -172,6 +174,9 @@ def _mc_block(design: McDesign, g2_theo: dict,
                 # the weight system has no meaning without a second moment,
                 # so the all-False mask refuses every replicate
                 est, ok = ols_est, np.zeros(len(samples), dtype=bool)
+            elif estimator == "full":
+                rows = estimate_full_rows(samples, alpha)
+                est, ok = rows.theta_hat, rows.ok
             else:
                 est, ok = _cell(samples, _estimator(estimator, alpha))
             records.append(_aggregate(spec, n, alpha, estimator, est, ok,

@@ -1,0 +1,175 @@
+"""The batched kernels against their batch of one.
+
+estimate_full_rows and the plug-in ratio curve evaluate every row of an
+(M, N) matrix at once; row r must come out exactly as that row alone would,
+whatever the other rows hold.  The golden values pin both calibrators on two
+seeded samples; they were computed before the calibrators were batched.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fracmom import (
+    AllGridDegenerate,
+    alpha_grid,
+    calibrate_grid_mc,
+    calibrate_plugin,
+    estimate_full,
+    parse_spec,
+    sample,
+)
+from fracmom.basis import SWEEP_BAND
+from fracmom.calibration import _empirical_curves
+from fracmom.estimators import estimate_full_rows
+
+ROW_KINDS = ("random", "random", "constant", "tied", "nan")
+ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
+                   st.floats(0.0, 1.0))
+
+
+@st.composite
+def sample_matrices(draw, max_rows=6, max_n=40, min_n=1):
+    """(M, N) samples whose rows are random, constant, tied or hold a NaN."""
+    n = draw(st.integers(min_n, max_n))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        row = draw(arrays(np.float64, n, elements=st.floats(
+            -1e6, 1e6, allow_nan=False, allow_subnormal=False)))
+        kind = draw(st.sampled_from(ROW_KINDS))
+        if kind == "constant":
+            row[:] = row[0]
+        elif kind == "tied":
+            row[: n // 2 + 1] = row[-1]
+        elif kind == "nan":
+            row[draw(st.integers(0, n - 1))] = math.nan
+        rows.append(row)
+    return np.stack(rows)
+
+
+def _bits(values):
+    """Floats by their bit patterns, so -0.0 != 0.0 and NaN == NaN."""
+    return tuple(float(v).hex() if isinstance(v, float) else v
+                 for v in values)
+
+
+def _outcome(fn, *args):
+    try:
+        res = fn(*args)
+    except Exception as exc:  # the exception is part of the outcome
+        return type(exc).__name__, str(exc)
+    return _bits(vars(res).values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_matrices(), ALPHAS)
+def test_full_rows_match_batch_of_one(x, alpha):
+    rows = estimate_full_rows(x, alpha)
+    for r in range(x.shape[0]):
+        assert _outcome(rows.result, r) == _outcome(estimate_full, x[r], alpha)
+        assert rows.ok[r] == (r not in rows.errors)
+
+
+def test_nan_row_fails_alone():
+    x = np.stack([sample(parse_spec("laplace"), 50, [9, r]) for r in range(3)])
+    x[1, 7] = math.nan
+    rows = estimate_full_rows(x, 0.05)
+    assert rows.ok.tolist() == [True, False, True]
+    assert math.isnan(rows.theta_hat[1])
+    for r in (0, 2):
+        assert rows.result(r) == estimate_full(x[r], 0.05)
+
+
+def test_constant_row_routes_to_proxy():
+    x = np.stack([np.full(20, 2.5), sample(parse_spec("gg:4"), 20, 3)])
+    rows = estimate_full_rows(x, 0.3)
+    assert rows.method.tolist() == ["proxy", "full"]
+    assert rows.theta_hat[0] == 2.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_matrices(max_rows=4, min_n=2))
+def test_plugin_curves_match_batch_of_one(x):
+    alphas = alpha_grid(0.05, SWEEP_BAND)
+    values, flags = _empirical_curves(x, alphas)
+    for r in range(x.shape[0]):
+        one_v, one_f = _empirical_curves(x[r:r + 1], alphas)
+        assert _bits(values[r].tolist()) == _bits(one_v[0].tolist())
+        assert flags[r].tolist() == one_f[0].tolist()
+
+
+def test_all_degenerate_row_is_flagged_alone():
+    alphas = alpha_grid(0.05, SWEEP_BAND)
+    resid = sample(parse_spec("laplace"), 60, 4)
+    x = np.stack([resid - resid.mean(), np.zeros(60)])
+    values, flags = _empirical_curves(x, alphas)
+    assert flags[1].all() and not flags[0].all()
+    one_v, one_f = _empirical_curves(x[:1], alphas)
+    assert _bits(values[0].tolist()) == _bits(one_v[0].tolist())
+    assert flags[0].tolist() == one_f[0].tolist()
+
+
+def test_plugin_skips_degenerate_resamples():
+    # most resamples of 29 zeros and one 1 hold only zeros and have no
+    # usable ratio; they are skipped, the resamples with the 1 are kept
+    x = np.r_[np.zeros(29), 1.0]
+    res = calibrate_plugin(x, bootstrap_b=40, seed=1)
+    lo, hi = res.sensitivity_interval
+    assert lo <= res.alpha_star <= hi
+    with pytest.raises(AllGridDegenerate):
+        calibrate_plugin(np.zeros(30), bootstrap_b=40, seed=1)
+
+
+GRID = alpha_grid(0.05, SWEEP_BAND)
+GOLDEN = {
+    ("plugin", "laplace"): (0.45, (0.0, 0.75), True, [
+        0.7892699716276995, 0.7774148746517288, 0.7656304607969271,
+        0.7546442463734505, 0.7450500102235336, 0.7372701044611694,
+        0.7315432270330968, 0.7279219586713086, 0.7262097342393433,
+        0.7250502431750624, 0.7336694891032765, 0.7404253927083164,
+        0.7475726794739552, 0.7557315698511421, 0.7648308680557991,
+        0.7747503082943868, 0.7853684360381702, 0.7965668555944762,
+        0.8082287423882539, 0.820237335942774]),
+    ("grid_mc", "laplace"): (0.0, (0.0, 0.35), True, [
+        0.0012380464855677557, 0.0012425928365607725, 0.0012414109493197748,
+        0.0012460550990572347, 0.0012468178250428681, 0.0012536491479313056,
+        0.0012539425296995612, 0.0012663160505815207, 0.0019347319352532246,
+        0.0027372408751355844, 0.050259662773559685, 0.0020631915326004527,
+        0.0014118288954567165, 0.0013766929868463923, 0.0013915098117961602,
+        0.0014126380752683724, 0.0014358070216647868, 0.001460031181812356,
+        0.0014847028501643478, 0.0015094188205176371]),
+    ("plugin", "cauchy"): (0.45, (0.0, 1.0), True, [
+        0.055973112905196305, 0.05643102255538892, 0.056611703921311436,
+        0.05629544522873934, 0.05514575943465161, 0.05254497562015017,
+        0.0471124371763975, 0.03500562259690069, 0.0012127863542089,
+        -0.18879143430202527, 0.07475623204820371, 0.12223987011269087,
+        0.129849646795425, 0.13576659086277515, 0.14268374509439366,
+        0.15081616388772673, 0.16002096157623685, 0.17008026879439453,
+        0.18075380936530933, 0.19179575994809278]),
+    ("grid_mc", "cauchy"): (0.3, (0.25, 0.3), False, [
+        3.0087466048973206, 1.3489954715222363, 0.48492325592456065,
+        0.1680007897294881, 0.05642183245460597, 0.025602311330585555,
+        0.025544503242271453, 0.03315597533565183, 0.04429373002617661,
+        0.10072548129937882, 0.15975790073756543, 0.12444828884070532,
+        0.1544538973283994, 0.19276762508532144, 0.23707562637352858,
+        0.28631674444058647, 0.3394067330831049, 0.3952376389805046,
+        0.4527822245012656, 0.5112068014302285]),
+}
+
+
+@pytest.mark.parametrize("criterion,family", sorted(GOLDEN))
+def test_calibration_golden_values(criterion, family):
+    x = sample(parse_spec(family), 500, [2026, 1 if family == "laplace" else 2])
+    if criterion == "plugin":
+        res = calibrate_plugin(x, seed=3)
+    else:
+        res = calibrate_grid_mc(x, GRID, bootstrap_b=100, seed=3)
+    alpha_star, interval, ambiguous, curve = GOLDEN[criterion, family]
+    assert res.alpha_star == alpha_star
+    assert res.sensitivity_interval == interval
+    assert res.ambiguous == ambiguous
+    np.testing.assert_allclose(res.curve.g2, curve, rtol=1e-12, atol=0.0)
+    assert not res.curve.degenerate.any()

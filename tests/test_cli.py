@@ -136,6 +136,66 @@ class TestMcCommand:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [
+        ["--dist", "cauchy"], ["--n", "30"], ["--alpha", "0.3"],
+        ["--replicates", "5"], ["--seed", "4"], ["--estimators", "proxy"],
+    ], ids=lambda f: f[0])
+    def test_design_file_with_flags_is_usage_error(self, tmp_path, capsys,
+                                                   flag):
+        design = {"distributions": ["laplace"], "n_values": [20],
+                  "alpha_values": [0.05], "replicates": 10,
+                  "estimators": ["ols"]}
+        dfile = tmp_path / "design.json"
+        dfile.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--design", str(dfile), *flag,
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert flag[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"replicates": 2.7}, {"replicates": True}, {"n_values": [20.5]},
+        {"n_values": [True]}, {"base_seed": 3.5}, {"base_seed": False},
+        {"replicates": "10"},
+    ], ids=["replicates-2.7", "replicates-true", "n-20.5", "n-true",
+            "seed-3.5", "seed-false", "replicates-string"])
+    def test_design_counts_must_be_whole(self, tmp_path, capsys, change):
+        design = {"distributions": ["laplace"], "n_values": [20],
+                  "alpha_values": [0.05], "replicates": 10, "base_seed": 3,
+                  "estimators": ["ols"], **change}
+        dfile = tmp_path / "design.json"
+        dfile.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--design", str(dfile), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        design = {"distributions": ["laplace"], "n_values": [20.0],
+                  "alpha_values": [0.05], "replicates": 10.0,
+                  "base_seed": 3.0, "estimators": ["ols"]}
+        dfile = tmp_path / "design.json"
+        dfile.write_text(json.dumps(design), encoding="utf-8")
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--design", str(dfile), "--out", str(out)]) == 0
+        row = (out / "mc_results.csv").read_text().splitlines()[1].split(",")
+        assert (row[1], row[-2], row[-1]) == ("20", "10", "3")
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_zero_n_is_usage_error(self, tmp_path, capsys, source):
+        out = tmp_path / "dd"
+        if source == "flags":
+            argv = ["mc", "--dist", "laplace", "--n", "0", "--alpha", "0.05"]
+        else:
+            dfile = tmp_path / "design.json"
+            dfile.write_text(json.dumps({"n_values": [0]}), encoding="utf-8")
+            argv = ["mc", "--design", str(dfile)]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["mc", "--alpha", "0.05", "--estimators", "ols"],
         ["baselines"],

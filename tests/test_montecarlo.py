@@ -82,6 +82,13 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="alpha"):
             McDesign(laplace, (50,), (0.05, 1.5), replicates=10)
 
+    def test_sample_size_below_one_rejected(self):
+        laplace = (parse_spec("laplace"),)
+        for n_values in ((0,), (50, -3)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                McDesign(laplace, n_values, (0.05,), replicates=10)
+        McDesign(laplace, (1,), (0.05,), replicates=10)
+
 
 class TestCauchyHandling:
     def test_full_refused_proxy_allowed(self):
