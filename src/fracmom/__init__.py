@@ -20,9 +20,8 @@ from .estimators import EstimateResult, estimate_full, estimate_ols, \
     estimate_proxy
 from .moments import FractionalMomentSet, abs_moment, empirical_moments, \
     quadrature_moment, signed_moment, theoretical_moments
-from .montecarlo import BenchRecord, McDesign, McRecord, \
-    bench_scaling_ratios, default_design, run_baseline_mc, run_bench, run_mc, \
-    write_baseline_csv, write_bench_csv, write_calibration_csv, \
+from .montecarlo import McDesign, McRecord, default_design, \
+    run_baseline_mc, run_mc, write_baseline_csv, write_calibration_csv, \
     write_csv_rows, write_mc_csv, write_sweep_csv
 
 __version__ = "0.1.0"

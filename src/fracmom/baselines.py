@@ -1,4 +1,10 @@
-"""Six scalar robust location baselines for head-to-head comparison."""
+"""Six scalar robust location baselines for head-to-head comparison.
+
+Each baseline has a row kernel that runs on every row of an (M, N) sample
+matrix at once, with reductions along the rows, so row r's estimate is the
+baseline of samples[r] bit for bit; the single-sample functions are their
+batch of one.
+"""
 
 from __future__ import annotations
 
@@ -14,30 +20,109 @@ HUBER_MAX_ITERS = 100
 MAD_TO_SD = 1.4826
 
 
-def trimmed_mean(sample, fraction: float) -> float:
-    """Mean after dropping floor(fraction*N) values from each end."""
-    x = np.sort(np.asarray(sample, dtype=float))
+def _as_row(sample) -> np.ndarray:
+    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    if x.size == 0:
+        raise ValueError("empty sample")
+    return x
+
+
+def median_rows(x: np.ndarray) -> np.ndarray:
+    """np.median along the last axis of an (M, N) array, by the same
+    arithmetic: a -0.0 median comes out +0.0 and a row holding a NaN has a
+    NaN median."""
+    n = x.shape[-1]
+    k = n // 2
+    # the partition also moves each row's largest value, a NaN if it holds
+    # one, to its end
+    if n % 2:
+        part = np.partition(x, (k, n - 1), axis=-1)
+        mid = part[:, k] + 0.0
+    else:
+        part = np.partition(x, (k - 1, k, n - 1), axis=-1)
+        mid = (part[:, k - 1] + part[:, k]) / 2.0 + 0.0
+    np.copyto(mid, np.nan, where=np.isnan(part[:, -1]))
+    return mid
+
+
+def _cut(n: int, fraction: float, what: str) -> int:
+    """Values cut from each end of a sorted row of n."""
     if not 0.0 <= fraction < 0.5:
         raise ValueError("fraction must lie in [0, 0.5)")
-    k = int(fraction * x.size)
-    if 2 * k >= x.size:
-        raise ValueError("trimming removed every value")
-    return float(np.mean(x[k:x.size - k]))
+    k = int(fraction * n)
+    if 2 * k >= n:
+        raise ValueError(f"{what} removed every value")
+    return k
+
+
+def _trimmed_rows(s: np.ndarray, fraction: float) -> np.ndarray:
+    # s holds sorted rows
+    n = s.shape[-1]
+    k = _cut(n, fraction, "trimming")
+    return np.mean(s[:, k:n - k], axis=-1)
+
+
+def _winsorized_rows(s: np.ndarray, fraction: float) -> np.ndarray:
+    # s holds sorted rows; their tails are overwritten
+    n = s.shape[-1]
+    k = _cut(n, fraction, "winsorizing")
+    if k > 0:
+        s[:, :k] = s[:, k:k + 1]
+        s[:, n - k:] = s[:, n - 1 - k:n - k]
+    return np.mean(s, axis=-1)
+
+
+def trimmed_mean(sample, fraction: float) -> float:
+    """Mean after dropping floor(fraction*N) values from each end."""
+    return float(_trimmed_rows(np.sort(_as_row(sample)), fraction)[0])
 
 
 def winsorized_mean(sample, fraction: float) -> float:
     """Mean after clamping floor(fraction*N) extremes on each side to the
     nearest retained order statistic."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    if not 0.0 <= fraction < 0.5:
-        raise ValueError("fraction must lie in [0, 0.5)")
-    k = int(fraction * x.size)
-    if 2 * k >= x.size:
-        raise ValueError("winsorizing removed every value")
-    if k > 0:
-        x[:k] = x[k]
-        x[x.size - k:] = x[x.size - 1 - k]
-    return float(np.mean(x))
+    return float(_winsorized_rows(np.sort(_as_row(sample)), fraction)[0])
+
+
+def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
+    """huber_location of every row of x, by iteratively reweighted means
+    under a per-row mask: a row stops once its step is below 1e-9 of its
+    scale, or after HUBER_MAX_ITERS steps."""
+    if tuning_c <= 0.0:
+        raise ValueError("tuning_c must be > 0")
+    med = median_rows(x)
+    work = np.subtract(x, med[:, None])  # reused for every pass's weights
+    mad = median_rows(np.abs(work, out=work))
+    out = med.copy()  # a zero MAD returns the median
+    live = np.flatnonzero(mad != 0.0)
+    if live.size == 0:
+        return out
+    xs, mu, s = x, med, MAD_TO_SD * mad
+    if live.size < len(x):
+        xs, mu, s = x[live], med[live], s[live]
+    k = (tuning_c * s)[:, None]
+    with np.errstate(all="ignore"):
+        for it in range(1, HUBER_MAX_ITERS + 1):
+            # weights min(1, k / r) with r = |x - mu|, bit for bit as
+            # where(r > k, k / r, 1) gives them: k / r is 1 or more unless
+            # r > k, overflows to inf where r is tiny, and where it is NaN
+            # (0 / 0, inf / inf) fmin takes the 1
+            w = np.subtract(xs, mu[:, None], out=work[:len(xs)])
+            np.abs(w, out=w)
+            np.divide(k, w, out=w)
+            np.fmin(w, 1.0, out=w)
+            total = np.add.reduce(w, axis=-1)
+            nxt = np.add.reduce(np.multiply(w, xs, out=w), axis=-1) / total
+            done = np.abs(nxt - mu) < 1e-9 * s
+            if it == HUBER_MAX_ITERS or done.all():
+                out[live] = nxt
+                return out
+            if done.any():
+                out[live[done]] = nxt[done]
+                keep = ~done
+                live, xs, s, k = live[keep], xs[keep], s[keep], k[keep]
+                nxt = nxt[keep]
+            mu = nxt
+    return out
 
 
 def huber_location(sample, tuning_c: float = HUBER_TUNING) -> float:
@@ -45,53 +130,70 @@ def huber_location(sample, tuning_c: float = HUBER_TUNING) -> float:
 
     The scale s = MAD * 1.4826 is held fixed; a zero MAD returns the median.
     """
-    if tuning_c <= 0.0:
-        raise ValueError("tuning_c must be > 0")
-    x = np.asarray(sample, dtype=float)
-    med = float(np.median(x))
-    mad = float(np.median(np.abs(x - med)))
-    if mad == 0.0:
-        return med
-    s = MAD_TO_SD * mad
-    k = tuning_c * s
-    mu = med
-    for _ in range(HUBER_MAX_ITERS):
-        r = np.abs(x - mu)
-        w = np.ones_like(r)
-        far = r > k
-        w[far] = k / r[far]
-        nxt = float(np.sum(w * x) / np.sum(w))
-        if abs(nxt - mu) < 1e-9 * s:
-            return nxt
-        mu = nxt
-    return mu
+    return float(huber_rows(_as_row(sample), tuning_c)[0])
+
+
+def median_of_means_rows(x: np.ndarray, blocks: int | None = None,
+                         ) -> np.ndarray:
+    """median_of_means of every row of x.  The first N % blocks blocks hold
+    q + 1 values and the rest q, as np.array_split makes them."""
+    rows, n = x.shape
+    if blocks is None:
+        blocks = math.ceil(math.sqrt(n))
+    if not 1 <= blocks <= n:
+        raise ValueError("blocks must lie in [1, N]")
+    q, longer = divmod(n, blocks)
+    cut = longer * (q + 1)
+    means = np.concatenate(
+        [np.mean(x[:, :cut].reshape(rows, longer, q + 1), axis=-1),
+         np.mean(x[:, cut:].reshape(rows, blocks - longer, q), axis=-1)],
+        axis=-1)
+    return median_rows(means)
 
 
 def median_of_means(sample, blocks: int | None = None) -> float:
     """Median of the means of contiguous in-order blocks (sizes differ by
     at most one); defaults to ceil(sqrt(N)) blocks."""
-    x = np.asarray(sample, dtype=float)
-    if blocks is None:
-        blocks = math.ceil(math.sqrt(x.size))
-    if not 1 <= blocks <= x.size:
-        raise ValueError("blocks must lie in [1, N]")
-    means = [float(np.mean(g)) for g in np.array_split(x, blocks)]
-    return float(np.median(means))
+    return float(median_of_means_rows(_as_row(sample), blocks)[0])
+
+
+def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
+    """The baselines in ``names``, with their standard settings, on every
+    row of an (M, N) matrix: name -> (M,) estimates.  median, trimmed10 and
+    winsorized10 share one sort of the rows."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be an (M, N) array")
+    if x.shape[1] == 0:
+        raise ValueError("empty sample")
+    unknown = [name for name in names if name not in BASELINE_IDS]
+    if unknown:
+        raise ValueError(f"unknown baseline {unknown[0]!r}")
+    out = {}
+    s = None
+    # in BASELINE_IDS order, so winsorized10 overwrites the sorted rows
+    # after median and trimmed10 have read them
+    for name in BASELINE_IDS:
+        if name not in names:
+            continue
+        if name in ("median", "trimmed10", "winsorized10") and s is None:
+            s = np.sort(x, axis=-1)
+        if name == "mean":
+            out[name] = np.mean(x, axis=-1)
+        elif name == "median":
+            out[name] = median_rows(s)
+        elif name == "trimmed10":
+            out[name] = _trimmed_rows(s, 0.1)
+        elif name == "winsorized10":
+            out[name] = _winsorized_rows(s, 0.1)
+        elif name == "huber":
+            out[name] = huber_rows(x)
+        else:
+            out[name] = median_of_means_rows(x)
+    return out
 
 
 def run_baseline(baseline_id: str, sample) -> float:
     """Dispatch one of the six baselines with its standard settings."""
-    x = np.asarray(sample, dtype=float)
-    if baseline_id == "mean":
-        return float(np.mean(x))
-    if baseline_id == "median":
-        return float(np.median(x))
-    if baseline_id == "trimmed10":
-        return trimmed_mean(x, 0.1)
-    if baseline_id == "winsorized10":
-        return winsorized_mean(x, 0.1)
-    if baseline_id == "huber":
-        return huber_location(x)
-    if baseline_id == "median_of_means":
-        return median_of_means(x)
-    raise ValueError(f"unknown baseline {baseline_id!r}")
+    rows = baseline_rows(_as_row(sample), (baseline_id,))
+    return float(rows[baseline_id][0])

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: sweep, estimate, mc, baselines, calibrate, bench, and
-reproduce-all (regenerates every desk-scale CSV in one run).  Exit codes:
-0 success, 1 usage error, 2 runtime error.
+Subcommands: sweep, estimate, mc, baselines, calibrate, and reproduce-all
+(regenerates every desk-scale CSV in one run).  Exit codes: 0 success,
+1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from .distributions import parse_spec, shape_summary
 from .efficiency import alpha_grid, g2_sweep
 from .errors import FracmomError
 from .estimators import estimate_full, estimate_ols, estimate_proxy
-from .montecarlo import MC_ESTIMATORS, McDesign, bench_scaling_ratios, \
-    default_design, run_baseline_mc, run_bench, run_mc, write_baseline_csv, \
-    write_bench_csv, write_calibration_csv, write_csv_rows, write_mc_csv, \
-    write_sweep_csv
+from .montecarlo import MC_ESTIMATORS, McDesign, default_design, \
+    run_baseline_mc, run_mc, write_baseline_csv, write_calibration_csv, \
+    write_csv_rows, write_mc_csv, write_sweep_csv
 
 
 class UsageError(Exception):
@@ -91,11 +90,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--band", type=float, default=SWEEP_BAND)
     p.add_argument("--bootstrap", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("bench", help="runtime micro-benchmark")
-    p.add_argument("--n", type=int, nargs="+", default=[100, 1000, 10000])
-    p.add_argument("--batch", type=int, default=10)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("reproduce-all", help="regenerate every desk-scale CSV")
@@ -215,16 +209,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    records = run_bench(args.n, batch=args.batch)
-    if args.out:
-        write_bench_csv(records, args.out)
-    for name, ratios in sorted(bench_scaling_ratios(records).items()):
-        joined = ", ".join(f"{r:.1f}" for r in ratios)
-        print(f"{name}: time(10N)/time(N) = {joined}")
-    return 0
-
-
 def _cmd_reproduce_all(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,7 +249,6 @@ _COMMANDS = {
     "baselines": partial(_cmd_design_run, run_baseline_mc, write_baseline_csv,
                          "baselines.csv"),
     "calibrate": _cmd_calibrate,
-    "bench": _cmd_bench,
     "reproduce-all": _cmd_reproduce_all,
 }
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec
-from .errors import DegenerateRatio, NonPositiveDenominator, SingularSystem
+from .errors import DegenerateRatio, NonFiniteMoment, \
+    NonPositiveDenominator, SingularSystem
 from .moments import FractionalMomentSet, MomentRows, theoretical_moments
 
 DET_THRESHOLD = 1e-14
@@ -67,14 +68,15 @@ def _cond_2x2(f11, f12, f22):
 
 
 def system_rows(m: MomentRows) -> SystemRows:
-    """Assemble and solve F h = b for every row of a moment batch.  Rows with
-    non-finite moments come out non-finite, not refused; call it under
-    np.errstate, since singular rows divide by a zero determinant."""
+    """Assemble and solve F h = b for every row of a moment batch.  A row
+    whose determinant is not finite (non-finite moments, or finite ones whose
+    products overflow) is singular; call it under np.errstate, since
+    singular rows divide by a zero determinant."""
     f11, nu_pm1, f12, nu_2p, sigma_p = m.values
     f22 = nu_2p - sigma_p**2
     b2 = m.p * nu_pm1
     det = f11 * f22 - f12 * f12
-    singular = np.abs(det) < DET_THRESHOLD
+    singular = ~np.isfinite(det) | (np.abs(det) < DET_THRESHOLD)
     # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
     # rows where that bound is not 4x under COND_CAP (rounding moves cond by
     # far less) need their condition number to settle cond > COND_CAP
@@ -90,8 +92,8 @@ def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
     """Assemble and solve the 2x2 weight system F h = b.
 
     F = [[c2, nu_{p+1}], [nu_{p+1}, nu_{2p} - sigma_p^2]] and
-    b = (1, p * nu_{p-1}); raises SingularSystem when the determinant falls
-    under DET_THRESHOLD or conditioning exceeds COND_CAP.
+    b = (1, p * nu_{p-1}); raises SingularSystem when the determinant is not
+    finite or falls under DET_THRESHOLD, or conditioning exceeds COND_CAP.
     """
     m.require_finite()
     with np.errstate(all="ignore"):
@@ -121,8 +123,10 @@ def g2_closed_form(m: FractionalMomentSet) -> float:
 
     [c2*(nu_2p - sigma_p^2) - nu_{p+1}^2] over
     c2*[(nu_2p - sigma_p^2) - 2p*nu_{p+1}*nu_{p-1} + p^2*c2*nu_{p-1}^2].
-    Raises DegenerateRatio on the 0/0 collapse and NonPositiveDenominator if
-    the denominator comes out <= 0 away from the collapse point.
+    Raises DegenerateRatio on the 0/0 collapse, NonPositiveDenominator if
+    the denominator comes out <= 0 away from the collapse point, and
+    NonFiniteMoment if the ratio is not finite (finite moments whose
+    products overflow).
     """
     m.require_finite()
     with np.errstate(all="ignore"):
@@ -131,6 +135,8 @@ def g2_closed_form(m: FractionalMomentSet) -> float:
         raise DegenerateRatio("0/0 collapse; the ratio's limit there is 1")
     if den[0] <= 0.0:
         raise NonPositiveDenominator(f"denominator {den[0]:.3e} is not positive")
+    if not np.isfinite(ratio[0]):
+        raise NonFiniteMoment(f"ratio {ratio[0]} is not finite")
     return float(ratio[0])
 
 
@@ -145,10 +151,10 @@ def g2_with_flag(m: FractionalMomentSet) -> tuple[float, bool]:
 def g2_rows(m: MomentRows) -> tuple[np.ndarray, np.ndarray]:
     """g2_with_flag for every row of a moment batch, as (value, flag) arrays.
     A row that g2_with_flag refuses (non-finite moments, non-positive
-    denominator) is flagged with value NaN."""
+    denominator, non-finite ratio) is flagged with value NaN."""
     with np.errstate(all="ignore"):
         ratio, den, collapsed = _g2_terms(m)
-    refused = ~m.finite() | (~collapsed & (den <= 0.0))
+    refused = ~m.finite() | (~collapsed & ((den <= 0.0) | ~np.isfinite(ratio)))
     value = np.where(collapsed, 1.0, ratio)
     value[refused] = np.nan
     return value, collapsed | refused

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import optimize
 
 from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 # build_correlant_system and empirical_moments are no longer called here;
@@ -31,6 +30,11 @@ TOL = 1e-8  # relative step size that counts as converged
 STEP_CLIP_SD = 3.0  # largest outer step, in sample standard deviations
 BRACKET_EXPANSION = 10.0  # initial proxy half-bracket, in robust scales
 MAX_BRACKET_DOUBLINGS = 60  # proxy bracket widenings before BracketFailure
+# the proxy's Brent search: scipy brentq's arithmetic with xtol 1e-12 and its
+# default rtol (4 machine epsilons) and iteration cap
+BRENT_XTOL = 1e-12
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,8 @@ def _as_clean_array(sample) -> np.ndarray:
 
 
 def _median(x: np.ndarray) -> np.ndarray:
-    """np.median along the last axis, by the same arithmetic."""
+    """np.median along the last axis of rows without NaN, by the same
+    arithmetic, except that a -0.0 median may stay -0.0."""
     n = x.shape[-1]
     k = n // 2
     if n % 2:
@@ -102,9 +107,9 @@ def _median(x: np.ndarray) -> np.ndarray:
     return (part[..., k - 1] + part[..., k]) / 2.0
 
 
-def _robust_scale(x: np.ndarray) -> np.ndarray:
-    # MAD along the last axis, 1 where it is 0
-    dev = x - _median(x)[..., None]
+def _robust_scale(x: np.ndarray, med: np.ndarray) -> np.ndarray:
+    # MAD along the last axis about its median med, 1 where it is 0
+    dev = x - med[..., None]
     mad = _median(np.abs(dev, out=dev))
     return np.where(mad > 0.0, mad, 1.0)[()]
 
@@ -140,8 +145,8 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
 
     Reductions run along the rows, and every early exit or fallback is a
     per-row mask, so row r's result is estimate_full(samples[r], alpha) bit
-    for bit whatever the other rows hold.  Rows routed to the proxy are
-    solved one by one.
+    for bit whatever the other rows hold.  Rows routed to the proxy go
+    through estimate_proxy_rows together.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -172,7 +177,7 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
                        np.zeros(rows, dtype=bool), errors)
     proxied = []
     with np.errstate(all="ignore"):  # failed rows compute on garbage
-        scale = _robust_scale(x)
+        scale = _robust_scale(x, _median(x))
         floor = np.maximum(1e-12 * scale, _tie_smoothing(x, mean[:, None], scale))
         if n > 1:  # np.std(x, ddof=1) by the same arithmetic
             dev = x - mean[:, None]
@@ -237,50 +242,193 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
             xs, xbar, mu, fl, lo, hi = (v[keep]
                                         for v in (xs, xbar, mu, fl, lo, hi))
 
-    for r in proxied:
-        try:
-            res = _proxy_result(x[r], a)
-        except FracmomError as exc:
-            errors[int(r)] = exc
-            continue
+    if proxied:
+        idx = np.array(proxied)
+        prox = estimate_proxy_rows(x[idx], a)
         for name in _RESULT_FIELDS:
-            getattr(out, name)[r] = getattr(res, name)
+            getattr(out, name)[idx] = getattr(prox, name)
+        errors.update((int(idx[j]), exc) for j, exc in prox.errors.items())
     return out
-
-
-def _proxy_result(x: np.ndarray, a: float) -> EstimateResult:
-    p = second_exponent(a)
-    med = float(np.median(x))
-    if np.max(x) == np.min(x):
-        return EstimateResult(med, METHOD_PROXY, 0, 0.0, math.nan, math.nan, True)
-    scale = _robust_scale(x)
-    eps = _tie_smoothing(x, med, scale)
-
-    def score(mu: float) -> float:
-        return float(np.sum(basis_value(2, a, x - mu, eps)))
-
-    # score is strictly decreasing in mu, so a sign change must appear once
-    # the interval is wide enough
-    half = BRACKET_EXPANSION * max(scale, 1e-8 * (1.0 + abs(med)))
-    lo, hi = med - half, med + half
-    s_lo, s_hi = score(lo), score(hi)
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if s_lo >= 0.0 >= s_hi:
-            break
-        half *= 2.0
-        lo, hi = med - half, med + half
-        s_lo, s_hi = score(lo), score(hi)
-    else:
-        raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
-    root, info = optimize.brentq(score, lo, hi, xtol=1e-12, full_output=True)
-    return EstimateResult(float(root), METHOD_PROXY, info.iterations, 0.0,
-                          math.nan, math.nan, bool(info.converged))
 
 
 def estimate_proxy(sample, alpha) -> EstimateResult:
     """Scalar signed-power root: solve sum sign(x-mu)|x-mu|^p = 0 by
     bracketing.  Valid for any finite sample, including infinite-variance
-    noise, since it needs no moment matrix."""
-    x = _as_clean_array(sample)
-    return _proxy_result(x, alpha_value(alpha))
+    noise, since it needs no moment matrix.  The batch of one of
+    estimate_proxy_rows."""
+    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    return estimate_proxy_rows(x, alpha).result(0)
 
+
+def estimate_proxy_rows(samples, alpha) -> EstimateRows:
+    """estimate_proxy on every row of an (M, N) matrix, all rows at once.
+
+    The bracket search widens every row's bracket under a per-row mask, and
+    each row then runs its own Brent search (_brent) in lock-step with the
+    others, so one score evaluation per step serves every row still
+    searching.  Row r's result is estimate_proxy(samples[r], alpha) bit for
+    bit whatever the other rows hold.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be an (M, N) array")
+    rows, n = x.shape
+    if n == 0:
+        raise ValueError("empty sample")
+    a = alpha_value(alpha)
+    p = second_exponent(a)
+    errors: dict[int, Exception] = {}
+    with np.errstate(all="ignore"):  # failed rows compute on garbage
+        med = _median(x) + 0.0  # np.median's +0.0 for a -0.0 median
+        out = EstimateRows(med, np.full(rows, METHOD_PROXY, dtype=object),
+                           np.zeros(rows, dtype=int), np.zeros(rows),
+                           np.full(rows, math.nan), np.full(rows, math.nan),
+                           np.ones(rows, dtype=bool), errors)
+        finite = np.isfinite(x).all(axis=1)
+        # a constant row's root is its value, which the median already holds
+        live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
+        if live.size < rows:
+            for r in np.flatnonzero(~finite):
+                errors[int(r)] = NonFiniteInput(
+                    "sample contains NaN or infinite values")
+            if live.size == 0:
+                return out
+            x, med = x[live], med[live]
+        scale = _robust_scale(x, med)
+        # each row's tie smoothing, or None where no row uses one
+        eps = _tie_smoothing(x, med[:, None], scale)
+        if not (p < 1.0 and (eps > 0.0).any()):
+            eps = None
+        half = BRACKET_EXPANSION * np.maximum(scale,
+                                              1e-8 * (1.0 + np.abs(med)))
+        ends = np.empty((2, live.size))
+        np.subtract(med, half, out=ends[0])
+        np.add(med, half, out=ends[1])
+        scores = _proxy_scores(x, ends, a, eps)
+        # score is strictly decreasing in mu, so a sign change must appear
+        # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
+        # are checked
+        searching = np.ones(live.size, dtype=bool)
+        for check in range(1, MAX_BRACKET_DOUBLINGS + 1):
+            wide = ~((scores[0] >= 0.0) & (0.0 >= scores[1]))
+            if not wide.any():
+                break
+            half[wide] *= 2.0
+            ends[:, wide] = med[wide] - half[wide], med[wide] + half[wide]
+            if check == MAX_BRACKET_DOUBLINGS:
+                for j in np.flatnonzero(wide):
+                    errors[int(live[j])] = BracketFailure(
+                        f"no sign change in [{ends[0, j]}, {ends[1, j]}] "
+                        f"for p={p}")
+                searching = ~wide
+                break
+            scores[:, wide] = _proxy_scores(x[wide], ends[:, wide], a,
+                                            _take(eps, wide))
+
+        # the Brent searches of the bracketed rows in lock-step: every round
+        # sends each search the score of the point it yielded last (None
+        # starts it) and scores the next points of those still going in one
+        # call
+        lo, hi = ends.tolist()
+        s_lo, s_hi = scores.tolist()
+        searches = [(r, _brent(lo[j], hi[j], s_lo[j], s_hi[j]))
+                    for j, r in enumerate(live.tolist()) if searching[j]]
+        if len(searches) < live.size:
+            x, eps = x[searching], _take(eps, searching)
+        sent = [None] * len(searches)
+        while searches:
+            going, points = [], []
+            for (r, search), score in zip(searches, sent):
+                try:
+                    points.append(search.send(score))
+                except StopIteration as stop:
+                    out.theta_hat[r], out.outer_iters[r] = stop.value
+                    going.append(False)
+                except FracmomError as exc:
+                    errors[r] = exc
+                    going.append(False)
+                else:
+                    going.append(True)
+            if not all(going):
+                searches = [sr for sr, g in zip(searches, going) if g]
+                if not searches:
+                    break
+                x, eps = x[going], _take(eps, going)
+            sent = _proxy_scores(x, np.array(points), a, eps).tolist()
+    for r in errors:
+        out.theta_hat[r] = math.nan
+    return out
+
+
+def _take(eps, rows):
+    return None if eps is None else eps[rows]
+
+
+def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
+                  eps: np.ndarray | None) -> np.ndarray:
+    """The proxy score sum_j basis_value(2, a, x[r, j] - mu[..., r], eps[r])
+    of every row r of x, at the points mu holds for it along its last axis;
+    eps None stands for 0 in every row."""
+    xi = x - mu[..., None]
+    v = basis_value(2, a, xi)
+    if eps is not None:
+        for r in np.flatnonzero(eps > 0.0):
+            v[..., r, :] = basis_value(2, a, xi[..., r, :], eps[r])
+    return np.add.reduce(v, axis=-1)
+
+
+def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
+    """Brent's root search (Brent 1973, ch. 4) on one bracket, as scipy's
+    brentq.c runs it with xtol BRENT_XTOL, rtol BRENT_RTOL and at most
+    BRENT_MAX_ITERS iterations, one step at a time.
+
+    Starts from the bracket [xpre, xcur] and the scores at its ends, which
+    differ in sign.  Yields each next point and is sent its score; returns
+    (root, iterations) as brentq reports them, except that an end scoring
+    exactly 0 counts 0 iterations, where brentq leaves the count unset.  A
+    NaN score raises NonFiniteMoment and a spent iteration cap
+    BracketFailure.
+    """
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    xblk = fblk = spre = scur = 0.0
+    for it in range(1, BRENT_MAX_ITERS + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, it
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's inf or NaN step, which bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+        if fcur != fcur:
+            raise NonFiniteMoment(f"proxy score is NaN at mu={xcur}")
+    raise BracketFailure(f"no root within {BRENT_MAX_ITERS} Brent steps, "
+                         f"last point {xcur}")

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo driver, CSV emission, and runtime micro-benchmark.
+"""Seeded Monte Carlo driver and CSV emission.
 
 Every replicate draws from its own counter-based substream keyed by
 (base_seed, distribution index, sample-size index, replicate), so results are
@@ -9,20 +9,23 @@ cell sees the same samples (required for the variance-ratio columns).
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .baselines import BASELINE_IDS, run_baseline
+from .baselines import baseline_rows
 from .basis import alpha_value, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
-from .estimators import estimate_full, estimate_full_rows, estimate_proxy
+from .estimators import estimate_full_rows, estimate_proxy_rows
 from .moments import theoretical_moments
+# estimate_full, estimate_proxy and run_baseline are no longer called here;
+# perfbench/tracer.py binds them through this module
+from .baselines import run_baseline  # noqa: F401
+from .estimators import estimate_full, estimate_proxy  # noqa: F401
 
 WORKERS_ENV = "FRACMOM_WORKERS"
 MC_ESTIMATORS = ("ols", "proxy", "full")
@@ -86,16 +89,6 @@ class McRecord:
     rel_mse: float | None = None
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """Median per-call wall time of one estimator at one sample size."""
-
-    estimator: str
-    n: int
-    per_call_ms: float
-    batch_size: int
-
-
 def _g2_theoretical(spec: DistributionSpec, alpha: float) -> float | None:
     try:
         return g2_closed_form(theoretical_moments(spec, second_exponent(alpha)))
@@ -136,29 +129,6 @@ def _draw_block(design: McDesign, task: tuple[int, int]):
     return spec, n, samples, np.mean(samples, axis=1)
 
 
-def _estimator(name: str, alpha: float | None = None):
-    """x -> estimate for ``full``, ``proxy`` or a baseline id.  The module
-    attributes are looked up at call time, so rebinding them takes effect."""
-    if name == "full":
-        return lambda x: estimate_full(x, alpha).theta_hat
-    if name == "proxy":
-        return lambda x: estimate_proxy(x, alpha).theta_hat
-    return lambda x: run_baseline(name, x)
-
-
-def _cell(samples: np.ndarray, fn) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate fn on every replicate; a FracmomError leaves ok False."""
-    est = np.full(len(samples), np.nan)
-    ok = np.zeros(len(samples), dtype=bool)
-    for r, x in enumerate(samples):
-        try:
-            est[r] = fn(x)
-            ok[r] = True
-        except FracmomError:
-            pass
-    return est, ok
-
-
 def _mc_block(design: McDesign, g2_theo: dict,
               task: tuple[int, int]) -> list[McRecord]:
     spec, n, samples, ols_est = _draw_block(design, task)
@@ -174,11 +144,11 @@ def _mc_block(design: McDesign, g2_theo: dict,
                 # the weight system has no meaning without a second moment,
                 # so the all-False mask refuses every replicate
                 est, ok = ols_est, np.zeros(len(samples), dtype=bool)
-            elif estimator == "full":
-                rows = estimate_full_rows(samples, alpha)
-                est, ok = rows.theta_hat, rows.ok
             else:
-                est, ok = _cell(samples, _estimator(estimator, alpha))
+                solve = (estimate_full_rows if estimator == "full"
+                         else estimate_proxy_rows)
+                rows = solve(samples, alpha)
+                est, ok = rows.theta_hat, rows.ok
             records.append(_aggregate(spec, n, alpha, estimator, est, ok,
                                       ols_est, design.base_seed,
                                       g2_theo[task[0], alpha]))
@@ -218,9 +188,9 @@ def _baseline_block(design: McDesign, task: tuple[int, int]) -> list[McRecord]:
     spec, n, samples, ols_est = _draw_block(design, task)
     # the "mean" baseline's mse, by the same arithmetic
     mean_mse = float(np.mean((ols_est - spec.true_location) ** 2))
+    ok = np.ones(len(samples), dtype=bool)  # every baseline takes any sample
     records = []
-    for name in BASELINE_IDS:
-        est, ok = _cell(samples, _estimator(name))
+    for name, est in baseline_rows(samples).items():
         r = _aggregate(spec, n, None, name, est, ok, ols_est,
                        design.base_seed, None)
         rel = r.mse / mean_mse if (r.mse is not None and mean_mse) else None
@@ -232,51 +202,6 @@ def run_baseline_mc(design: McDesign, workers: int | None = None,
                     ) -> list[McRecord]:
     """Same design, six robust baselines, with MSE relative to the mean."""
     return _run_blocks(partial(_baseline_block, design), design, workers)
-
-
-# ---------------------------------------------------------------------------
-# runtime micro-benchmark
-# ---------------------------------------------------------------------------
-
-BENCH_ESTIMATORS = ("mean", "median", "huber", "median_of_means", "proxy",
-                    "full")
-BENCH_ALPHA = 0.05
-
-
-def run_bench(n_values, estimators=BENCH_ESTIMATORS, batch: int = 10,
-              repeats: int = 5, seed: int = 1234) -> list[BenchRecord]:
-    """Median per-call wall time on seeded two-sided-exponential samples."""
-    if batch < 10:
-        raise ValueError("batch must be >= 10")
-    spec = parse_spec("laplace")
-    records = []
-    for n in n_values:
-        x = sample(spec, int(n), [seed, int(n)])
-        for name in estimators:
-            call = _estimator(name, BENCH_ALPHA)
-            call(x)  # warm-up
-            per_call = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                for _ in range(batch):
-                    call(x)
-                per_call.append(1e3 * (time.perf_counter() - t0) / batch)
-            records.append(BenchRecord(name, int(n), float(np.median(per_call)),
-                                       batch))
-    return records
-
-
-def bench_scaling_ratios(records: list[BenchRecord]) -> dict[str, list[float]]:
-    """time(10N)/time(N) per estimator, for asserting near-linear cost."""
-    ratios: dict[str, list[float]] = {}
-    by_est: dict[str, dict[int, float]] = {}
-    for r in records:
-        by_est.setdefault(r.estimator, {})[r.n] = r.per_call_ms
-    for name, times in by_est.items():
-        for n, t in sorted(times.items()):
-            if 10 * n in times and t > 0.0:
-                ratios.setdefault(name, []).append(times[10 * n] / t)
-    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +237,6 @@ def write_baseline_csv(records: list[McRecord], path) -> None:
     header = MC_CSV_FIELDS + ("rel_mse_vs_mean",)
     write_csv_rows(path, header,
                    (mc_record_row(r) + (r.rel_mse,) for r in records))
-
-
-def write_bench_csv(records: list[BenchRecord], path) -> None:
-    header = ("estimator", "n", "per_call_ms", "batch_size", "nondeterministic")
-    write_csv_rows(path, header,
-                   ((r.estimator, r.n, r.per_call_ms, r.batch_size, 1)
-                    for r in records))
 
 
 def write_sweep_csv(curve, path) -> None:

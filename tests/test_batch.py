@@ -1,30 +1,52 @@
-"""The batched kernels against their batch of one.
+"""The batched kernels against their batch of one and their per-row code.
 
-estimate_full_rows and the plug-in ratio curve evaluate every row of an
-(M, N) matrix at once; row r must come out exactly as that row alone would,
-whatever the other rows hold.  The golden values pin both calibrators on two
-seeded samples; they were computed before the calibrators were batched.
+estimate_full_rows, estimate_proxy_rows, the baseline row kernels and the
+plug-in ratio curve evaluate every row of an (M, N) matrix at once; row r
+must come out exactly as that row alone would, whatever the other rows hold.
+The proxy rows are checked bit for bit against scipy's brentq, called as the
+per-row proxy called it, and the baselines against their one-sample-at-a-time
+code, both kept here as references.  The golden values pin both calibrators
+on two seeded samples; they were computed before the calibrators were
+batched.  The golden digests pin the Monte Carlo CSVs of a small design;
+they were computed before the proxy and baseline cells were batched.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import optimize
 
 from fracmom import (
+    BASELINE_IDS,
     AllGridDegenerate,
+    BracketFailure,
+    FracmomError,
+    McDesign,
+    NonFiniteInput,
     alpha_grid,
+    basis_value,
     calibrate_grid_mc,
     calibrate_plugin,
     estimate_full,
+    estimate_proxy,
     parse_spec,
+    run_baseline,
+    run_baseline_mc,
+    run_mc,
     sample,
+    second_exponent,
+    write_baseline_csv,
+    write_mc_csv,
 )
+from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import _empirical_curves
-from fracmom.estimators import estimate_full_rows
+from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
+    _brent, estimate_full_rows, estimate_proxy_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
 ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
@@ -32,20 +54,24 @@ ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
 
 
 @st.composite
-def sample_matrices(draw, max_rows=6, max_n=40, min_n=1):
-    """(M, N) samples whose rows are random, constant, tied or hold a NaN."""
+def sample_matrices(draw, max_rows=6, max_n=40, min_n=1, kinds=ROW_KINDS):
+    """(M, N) samples whose rows are random, constant, tied, hold a NaN, or
+    are tied but for one far outlier (the proxy then widens its bracket)."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
         row = draw(arrays(np.float64, n, elements=st.floats(
             -1e6, 1e6, allow_nan=False, allow_subnormal=False)))
-        kind = draw(st.sampled_from(ROW_KINDS))
+        kind = draw(st.sampled_from(kinds))
         if kind == "constant":
             row[:] = row[0]
         elif kind == "tied":
             row[: n // 2 + 1] = row[-1]
         elif kind == "nan":
             row[draw(st.integers(0, n - 1))] = math.nan
+        elif kind == "outlier":
+            row[:-1] = row[0]
+            row[-1] = row[0] + 1e5
         rows.append(row)
     return np.stack(rows)
 
@@ -88,6 +114,220 @@ def test_constant_row_routes_to_proxy():
     rows = estimate_full_rows(x, 0.3)
     assert rows.method.tolist() == ["proxy", "full"]
     assert rows.theta_hat[0] == 2.5
+
+
+def brentq_proxy(x, alpha) -> tuple[float, int]:
+    """estimate_proxy's (root, iterations) as the per-row proxy computed
+    them: a score closure over the sample, bracketed, then handed to
+    scipy's brentq."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("sample contains NaN or infinite values")
+    a = float(alpha)
+    p = second_exponent(a)
+    med = float(np.median(x))
+    if np.max(x) == np.min(x):
+        return med, 0
+    mad = float(np.median(np.abs(x - med)))
+    scale = mad if mad > 0.0 else 1.0
+    eps = 1e-6 * scale if np.count_nonzero(x == med) >= 2 else 0.0
+
+    def score(mu: float) -> float:
+        return float(np.sum(basis_value(2, a, x - mu, eps)))
+
+    half = BRACKET_EXPANSION * max(scale, 1e-8 * (1.0 + abs(med)))
+    lo, hi = med - half, med + half
+    s_lo, s_hi = score(lo), score(hi)
+    for _ in range(MAX_BRACKET_DOUBLINGS):
+        if s_lo >= 0.0 >= s_hi:
+            break
+        half *= 2.0
+        lo, hi = med - half, med + half
+        s_lo, s_hi = score(lo), score(hi)
+    else:
+        raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
+    root, info = optimize.brentq(score, lo, hi, xtol=1e-12, full_output=True)
+    # brentq leaves the count unset when an end scores exactly 0
+    return float(root), 0 if s_lo == 0.0 or s_hi == 0.0 else info.iterations
+
+
+def _proxy_outcome(fn, *args):
+    try:
+        theta, iters = fn(*args)
+    except FracmomError as exc:
+        return type(exc).__name__, str(exc)
+    return float(theta).hex(), int(iters)
+
+
+def _row_outcome(rows, r):
+    try:
+        res = rows.result(r)
+    except FracmomError as exc:
+        return type(exc).__name__, str(exc)
+    return res.theta_hat.hex(), res.outer_iters
+
+
+def _assert_proxy_rows_match_brentq(x, alpha):
+    rows = estimate_proxy_rows(x, alpha)
+    with np.errstate(all="ignore"):
+        for r in range(x.shape[0]):
+            expected = _proxy_outcome(brentq_proxy, x[r], alpha)
+            assert _row_outcome(rows, r) == expected, r
+            assert _row_outcome(estimate_proxy_rows(x[r:r + 1], alpha),
+                                0) == expected, r
+            assert rows.ok[r] == (r not in rows.errors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_matrices(kinds=ROW_KINDS + ("outlier",)), ALPHAS)
+def test_proxy_rows_match_brentq(x, alpha):
+    _assert_proxy_rows_match_brentq(x, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 0.95, 1.0])
+def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
+    laplace = sample(parse_spec("laplace"), 40, 6)
+    tied = laplace.copy()
+    tied[:21] = tied[-1]
+    x = np.stack([laplace, tied, np.full(40, -2.5), np.r_[np.full(39, -1.0),
+                                                            1e3], 5 * laplace])
+    _assert_proxy_rows_match_brentq(x, alpha)
+    # the outlier row needs its bracket widened
+    assert estimate_proxy_rows(x[3:4], alpha).ok.all()
+
+
+def test_nan_score_row_fails_alone():
+    laplace = sample(parse_spec("laplace"), 200, 0)
+    x = np.stack([1e200 * laplace + 5.5e200, laplace])
+    rows = estimate_proxy_rows(x, 0.95)
+    assert rows.ok.tolist() == [False, True]
+    assert type(rows.errors[0]).__name__ == "NonFiniteMoment"
+    assert math.isnan(rows.theta_hat[0])
+    assert _outcome(rows.result, 1) == _outcome(estimate_proxy, laplace, 0.95)
+    assert _row_outcome(rows, 1) == _proxy_outcome(brentq_proxy, laplace,
+                                                   0.95)
+
+
+DECREASING = (
+    lambda t: -t,
+    lambda t: -t ** 3,
+    lambda t: -math.sinh(t),
+    lambda t: -math.atan(t) ** 3,  # flat at the root: spends brentq's cap
+    lambda t: -math.copysign(abs(t) ** 0.3, t),
+    lambda t: math.exp(-t) - 1.0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(DECREASING))), st.floats(-10.0, 10.0),
+       st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+def test_brent_steps_as_brentq(kind, c, below, above):
+    def f(mu):
+        return DECREASING[kind](mu - c)
+
+    lo, hi = c - below, c + above
+    if lo == hi:
+        return
+    try:
+        root, info = optimize.brentq(f, lo, hi, xtol=1e-12, full_output=True)
+        # brentq leaves the count unset when an end scores exactly 0
+        expected = (root, 0 if 0.0 in (f(lo), f(hi)) else info.iterations)
+    except RuntimeError:  # brentq's iteration cap
+        expected = BracketFailure
+    search = _brent(lo, hi, f(lo), f(hi))
+    try:
+        point = next(search)
+        while True:
+            point = search.send(f(point))
+    except StopIteration as stop:
+        got = stop.value
+    except BracketFailure:
+        got = BracketFailure
+    assert got == expected
+
+
+def reference_baseline(name: str, x) -> float:
+    """The six baselines as they ran one sample at a time."""
+    x = np.asarray(x, dtype=float)
+    if name == "mean":
+        return float(np.mean(x))
+    if name == "median":
+        return float(np.median(x))
+    if name in ("trimmed10", "winsorized10"):
+        s = np.sort(x)
+        k = int(0.1 * s.size)
+        if name == "trimmed10":
+            return float(np.mean(s[k:s.size - k]))
+        if k > 0:
+            s[:k] = s[k]
+            s[s.size - k:] = s[s.size - 1 - k]
+        return float(np.mean(s))
+    if name == "huber":
+        med = float(np.median(x))
+        mad = float(np.median(np.abs(x - med)))
+        if mad == 0.0:
+            return med
+        s = 1.4826 * mad
+        k = 1.345 * s
+        mu = med
+        for _ in range(100):
+            r = np.abs(x - mu)
+            w = np.ones_like(r)
+            far = r > k
+            w[far] = k / r[far]
+            nxt = float(np.sum(w * x) / np.sum(w))
+            if abs(nxt - mu) < 1e-9 * s:
+                return nxt
+            mu = nxt
+        return mu
+    means = [float(np.mean(g))
+             for g in np.array_split(x, math.ceil(math.sqrt(x.size)))]
+    return float(np.median(means))
+
+
+def _assert_baselines_match_reference(x):
+    rows = baseline_rows(x)
+    assert tuple(rows) == BASELINE_IDS
+    for name in BASELINE_IDS:
+        for r in range(x.shape[0]):
+            expected = float(reference_baseline(name, x[r])).hex()
+            assert float(rows[name][r]).hex() == expected, (name, r)
+            assert run_baseline(name, x[r]).hex() == expected, (name, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_matrices())
+def test_baseline_rows_match_reference(x):
+    with np.errstate(all="ignore"):
+        _assert_baselines_match_reference(x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 99, 100, 101, 1000])
+def test_baseline_rows_match_reference_by_n(n):
+    x = np.stack([sample(parse_spec(family), n, [8, r])
+                  for r, family in enumerate(("laplace", "cauchy", "gg:4"))])
+    _assert_baselines_match_reference(np.vstack([x, np.round(x, 1)]))
+
+
+GOLDEN_DESIGN = McDesign(
+    tuple(parse_spec(s) for s in ("laplace", "beta:2:5", "cauchy")),
+    (1, 2, 7, 40), (0.0, 0.05, 0.5, 0.95, 1.0), replicates=25,
+    base_seed=2026)
+GOLDEN_CSV = {
+    "mc": "33d5df0f982847ec85883ae42481ad9491d34e85be07d9ec4c875669ced9cf19",
+    "baselines":
+        "24393822949299d9a682809465eeaa994d9c14fb7b9e365f6008f274a0817e8c",
+}
+
+
+def test_monte_carlo_csv_golden_digests(tmp_path):
+    for name, run, write in (("mc", run_mc, write_mc_csv),
+                             ("baselines", run_baseline_mc,
+                              write_baseline_csv)):
+        path = tmp_path / f"{name}.csv"
+        write(run(GOLDEN_DESIGN), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            GOLDEN_CSV[name], name
 
 
 @settings(max_examples=100, deadline=None)

@@ -244,14 +244,6 @@ class TestCalibrateCommand:
         assert "bootstrap_b must be >= 100" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_writes_records(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert cli_main(["bench", "--n", "100", "1000", "--batch", "10",
-                         "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) >= 3
-
-
 class TestReproduceAll:
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

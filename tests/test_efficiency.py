@@ -11,14 +11,18 @@ from fracmom import (
     SingularSystem,
     alpha_grid,
     build_correlant_system,
+    empirical_moments,
+    estimate_full,
     g2_classical,
     g2_closed_form,
     g2_sweep,
     g2_with_flag,
     parse_spec,
+    sample,
     second_exponent,
     theoretical_moments,
 )
+from fracmom.efficiency import g2_rows
 
 LAPLACE_RAW = parse_spec("laplace", standardized=False)
 
@@ -67,6 +71,20 @@ class TestCorrelantSystem:
                                 nu_2p=3.0, sigma_p=0.0)
         with pytest.raises(NonFiniteMoment):
             build_correlant_system(m)
+
+    def test_overflowing_products_refused(self):
+        # near 1e150 the moments are finite but c2 * f22 and f12^2 overflow,
+        # so det is inf - inf; the system and the ratio were NaN before
+        x = 1e150 * sample(parse_spec("laplace"), 200, 0) + 5.5e150
+        m = empirical_moments(x, float(np.mean(x)), second_exponent(0.3))
+        assert all(math.isfinite(v) for v in (m.c2, m.nu_pp1, m.nu_2p))
+        with pytest.raises(SingularSystem, match="det=nan"):
+            build_correlant_system(m)
+        with pytest.raises(NonFiniteMoment):
+            g2_with_flag(m)
+        value, flag = g2_rows(m.rows())
+        assert math.isnan(value[0]) and flag[0]
+        assert estimate_full(x, 0.3).method == "proxy"
 
 
 class TestClosedFormRatio:

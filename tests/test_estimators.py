@@ -8,6 +8,7 @@ import pytest
 from fracmom import (
     BracketFailure,
     NonFiniteInput,
+    NonFiniteMoment,
     empirical_moments,
     build_correlant_system,
     estimate_full,
@@ -179,16 +180,20 @@ class TestProxyEstimator:
         with pytest.raises(BracketFailure):
             estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e20]), 0.05)
 
-    @pytest.mark.xfail(strict=True,
-                       reason="_proxy_result hands its score closure, which "
-                              "holds the sample, to brentq; scipy wraps it in "
-                              "_zeros_py._wrap_nan_raise, a closure that "
-                              "refers to itself, so the sample lives until "
-                              "the cyclic collector runs (about 35 MB still "
-                              "live after 50 calls at N=1e5). A module-level "
-                              "score called as brentq(..., args=(x, a, eps)) "
-                              "frees it, but waits for the large_n benchmark "
-                              "to pin its allocator settings (ROADMAP item 7)")
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_nan_score_is_nonfinite_moment(self, scale):
+        # |x - mu|^p overflows on both sides of the root, so the score
+        # inside the bracket is inf - inf; scipy raised a raw ValueError
+        x = scale * sample(parse_spec("laplace"), 200, 0) + 5.5 * scale
+        with pytest.raises(NonFiniteMoment, match="NaN"):
+            estimate_proxy(x, 0.95)
+
+    def test_root_on_a_bracket_end(self):
+        # the starting bracket is [-10, 10] and the score 40 - 4 mu is
+        # exactly 0 at its upper end, so no Brent step is taken
+        res = estimate_proxy([0.0, 0.0, 0.0, 40.0], 0.5)
+        assert (res.theta_hat, res.outer_iters) == (10.0, 0)
+
     def test_proxy_releases_its_sample(self):
         x = sample(parse_spec("laplace"), 1000, 5)
         ref = weakref.ref(x)

@@ -1,16 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 
 from fracmom import (
     McDesign,
-    bench_scaling_ratios,
     default_design,
+    estimate_full,
+    estimate_proxy,
     parse_spec,
+    run_baseline,
     run_baseline_mc,
-    run_bench,
     run_mc,
+    sample,
     write_baseline_csv,
-    write_bench_csv,
     write_mc_csv,
 )
 
@@ -154,36 +157,47 @@ class TestCsvEmission:
         header = path.read_text().splitlines()[0]
         assert header.endswith(",rel_mse_vs_mean")
 
-    def test_bench_csv_flags_nondeterminism(self, tmp_path):
-        recs = run_bench((100,), estimators=("mean", "median"), batch=10,
-                         repeats=2)
-        path = tmp_path / "bench.csv"
-        write_bench_csv(recs, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].endswith(",nondeterministic")
-        assert all(l.endswith(",1") for l in lines[1:])
-
 
 class TestBench:
-    def test_batch_floor(self):
-        with pytest.raises(ValueError):
-            run_bench((100,), batch=5)
+    """Per-call cost of the public estimators on seeded laplace samples."""
+
+    TIMED = {
+        "mean": lambda x: run_baseline("mean", x),
+        "median": lambda x: run_baseline("median", x),
+        "huber": lambda x: run_baseline("huber", x),
+        "median_of_means": lambda x: run_baseline("median_of_means", x),
+        "proxy": lambda x: estimate_proxy(x, 0.05),
+        "full": lambda x: estimate_full(x, 0.05),
+    }
+
+    @staticmethod
+    def per_call_ms(fn, n, batch=10, repeats=3, seed=7):
+        """Median over repeats of the mean time of a batch of calls."""
+        x = sample(parse_spec("laplace"), n, [seed, n])
+        fn(x)  # warm-up
+        per_call = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                fn(x)
+            per_call.append(1e3 * (time.perf_counter() - t0) / batch)
+        return float(np.median(per_call))
 
     def test_ordering_and_scaling(self):
-        recs = run_bench((1000, 10000), batch=10, repeats=3, seed=7)
-        times = {(r.estimator, r.n): r.per_call_ms for r in recs}
+        times = {(name, n): self.per_call_ms(fn, n)
+                 for name, fn in self.TIMED.items() for n in (1000, 10000)}
         cheapest = min(t for (e, n), t in times.items() if n == 10000)
         assert times[("mean", 10000)] == cheapest
         assert times[("proxy", 10000)] >= 10.0 * times[("mean", 10000)]
-        ratios = bench_scaling_ratios(recs)
-        for est, rs in ratios.items():
-            assert all(r < 20.0 for r in rs), est
+        for name in self.TIMED:
+            ratio = times[(name, 10000)] / times[(name, 1000)]
+            assert ratio < 20.0, name
 
     def test_full_estimator_scales_linearly_to_1e5(self):
-        recs = run_bench((10_000, 100_000), estimators=("full",), batch=10,
-                         repeats=3, seed=7)
-        ratios = bench_scaling_ratios(recs)["full"]
-        assert ratios and all(r < 20.0 for r in ratios)
+        full = self.TIMED["full"]
+        ratio = (self.per_call_ms(full, 100_000)
+                 / self.per_call_ms(full, 10_000))
+        assert ratio < 20.0
 
     def test_default_design_shape(self):
         d = default_design()
