@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import NonFiniteInput
+
 BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
 
@@ -24,6 +26,8 @@ def _as_row(sample) -> np.ndarray:
     x = np.asarray(sample, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("sample contains NaN or infinite values")
     return x
 
 
@@ -160,7 +164,8 @@ def median_of_means(sample, blocks: int | None = None) -> float:
 def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     """The baselines in ``names``, with their standard settings, on every
     row of an (M, N) matrix: name -> (M,) estimates.  median, trimmed10 and
-    winsorized10 share one sort of the rows."""
+    winsorized10 share one sort of the rows.  A row holding NaN or inf gets
+    NaN from every baseline."""
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError("samples must be an (M, N) array")
@@ -169,6 +174,11 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     unknown = [name for name in names if name not in BASELINE_IDS]
     if unknown:
         raise ValueError(f"unknown baseline {unknown[0]!r}")
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        # zeros in place of the non-finite rows leave every other row's
+        # estimates as they are; those rows are set to NaN at the end
+        x = np.where(bad[:, None], 0.0, x)
     out = {}
     s = None
     # in BASELINE_IDS order, so winsorized10 overwrites the sorted rows
@@ -190,6 +200,9 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
             out[name] = huber_rows(x)
         else:
             out[name] = median_of_means_rows(x)
+    if bad.any():
+        for est in out.values():
+            est[bad] = np.nan
     return out
 
 

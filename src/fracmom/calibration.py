@@ -19,9 +19,11 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 # here; perfbench/tracer.py binds them through this module
 from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
     g2_with_flag  # noqa: F401
-from .errors import AllGridDegenerate, DegenerateSample, SmallSample
-from .estimators import estimate_full, estimate_full_rows  # noqa: F401
-from .moments import empirical_moments, moment_rows  # noqa: F401
+from .errors import AllGridDegenerate, DegenerateSample, NonFiniteInput, \
+    SmallSample
+from .estimators import estimate_full, estimate_full_grid  # noqa: F401
+from .moments import empirical_moments, moment_rows, \
+    winsorize_rows  # noqa: F401
 
 AMBIGUITY_SPREAD = 0.1  # bootstrap alpha* spread that flags an unstable pick
 FLAT_CURVE_TOL = 1e-6
@@ -64,15 +66,19 @@ def calibrate_oracle(spec: DistributionSpec, grid_step: float = 0.05,
     return CalibrationResult(curve.argmin_alpha, "oracle", curve, interval, flat)
 
 
+def _require_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("sample contains NaN or infinite values")
+
+
 def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in ratio and degeneracy flag of every residual row (axis 0) at
-    every grid alpha (axis 1)."""
+    every grid alpha (axis 1), from the moments about 0."""
     values = np.empty((rows.shape[0], alphas.size))
     flags = np.empty(values.shape, dtype=bool)
     for idx, a in enumerate(alphas):
-        m = moment_rows(rows, 0.0, second_exponent(a),
-                        winsor_fraction=PLUGIN_WINSOR)
+        m = moment_rows(rows, 0.0, second_exponent(a))
         values[:, idx], flags[:, idx] = g2_rows(m)
     return values, flags
 
@@ -83,10 +89,10 @@ def _with_resamples(resid: np.ndarray, bootstrap_b: int,
     own means, as the rows of one matrix."""
     rows = np.empty((bootstrap_b + 1, resid.size))
     rows[0] = resid
-    rng = make_rng([seed, 2401])
-    for row in rows[1:]:
-        boot = rng.choice(resid, size=resid.size, replace=True)
-        row[:] = boot - float(np.mean(boot))
+    boots = rows[1:]
+    boots[...] = make_rng([seed, 2401]).choice(resid, size=boots.shape)
+    # each mean by np.mean's arithmetic: one pairwise sum and a division
+    boots -= (np.add.reduce(boots, axis=-1) / resid.size)[:, None]
     return rows
 
 
@@ -99,16 +105,18 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     Bootstrap resampling of the residuals yields a sensitivity interval for
     alpha*; a spread above 0.1 marks the choice ambiguous and, when the
     sample is large enough, attaches the entropy diagnostic.  The residuals
-    and their resamples are evaluated as the rows of one matrix; a resample
-    with no usable ratio is skipped.
+    and their resamples are the rows of one matrix, winsorized once and
+    then evaluated at every alpha; a resample with no usable ratio is
+    skipped.
     """
     x = np.asarray(sample, dtype=float)
     if x.size < 30:
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
+    _require_finite(x)
     resid = x - float(np.mean(x))
     alphas = alpha_grid(grid_step, band)
-    values, flags = _empirical_curves(
-        _with_resamples(resid, bootstrap_b, seed), alphas)
+    values, flags = _empirical_curves(winsorize_rows(
+        _with_resamples(resid, bootstrap_b, seed), PLUGIN_WINSOR), alphas)
     usable = ~flags & np.isfinite(values)
     if not usable[0].any():
         raise AllGridDegenerate("no usable ratio value on the alpha grid")
@@ -136,7 +144,7 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
 
     The sensitivity interval collects every grid alpha whose bootstrap
     variance is within 5% of the minimum.  The resamples are the rows of one
-    matrix, estimated together at each alpha.
+    matrix, estimated together over the whole grid.
     """
     if bootstrap_b < 100:
         raise ValueError("bootstrap_b must be >= 100")
@@ -144,12 +152,13 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
-    rng = make_rng([seed, 7919])
-    boots = np.stack([rng.choice(x, size=x.size, replace=True)
-                      for _ in range(bootstrap_b)])
+    _require_finite(x)
+    # the matrix first, so that choice's temporaries are freed from the top
+    # of the heap
+    boots = np.empty((bootstrap_b, x.size))
+    boots[...] = make_rng([seed, 7919]).choice(x, size=boots.shape)
     variances = np.empty(alphas.size)
-    for idx, a in enumerate(alphas):
-        est = estimate_full_rows(boots, a)
+    for idx, est in enumerate(estimate_full_grid(boots, alphas)):
         if est.errors:
             raise est.errors[min(est.errors)]
         variances[idx] = float(np.var(est.theta_hat, ddof=1))
@@ -193,6 +202,7 @@ def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     resid = np.asarray(residuals, dtype=float)
     if resid.size < 100:
         raise SmallSample(f"entropy diagnostic needs N >= 100, got {resid.size}")
+    _require_finite(resid)
     sd = float(np.std(resid, ddof=1))
     if sd == 0.0:
         raise DegenerateSample("zero-variance residuals")

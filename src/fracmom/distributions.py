@@ -135,36 +135,49 @@ class DistributionSpec:
         return (lo, hi)
 
     def density(self, x):
-        """Density evaluated pointwise (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        s = self.scale
-        if self.family == "gaussian":
-            out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        elif self.family == "laplace":
-            out = np.exp(-np.abs(x) / s) / (2.0 * s)
-        elif self.family == "gg":
-            beta = self.shape[0]
-            c = beta / (2.0 * s * special.gamma(1.0 / beta))
-            out = c * np.exp(-np.abs(x / s) ** beta)
-        elif self.family == "uniform":
-            out = np.where(np.abs(x) <= s, 1.0 / (2.0 * s), 0.0)
-        elif self.family == "arcsine":
-            inside = np.abs(x) < s
-            out = np.zeros_like(x)
-            out[inside] = 1.0 / (math.pi * np.sqrt(s * s - x[inside] ** 2))
-        elif self.family == "triangular":
-            out = np.maximum(s - np.abs(x), 0.0) / (s * s)
-        elif self.family == "cauchy":
-            out = 1.0 / (math.pi * (1.0 + x * x))
-        else:
+        """Density evaluated pointwise (vectorized).
+
+        A Python float, which is what quadrature passes, builds no array: the
+        same numpy ufuncs run on the float, and a point outside the support
+        gets 0.0, so it comes out as it would as an element of an array.
+        """
+        if not isinstance(x, float):
+            x = np.asarray(x, dtype=float)
+        if self.family == "beta":
             a, b = self.shape
             y = x + a / (a + b) if self.standardized else x
-            out = np.zeros_like(x)
-            ok = (y > 0.0) & (y < 1.0)
-            out[ok] = np.exp((a - 1.0) * np.log(y[ok])
-                             + (b - 1.0) * np.log1p(-y[ok])
-                             - special.betaln(a, b))
-        return out
+            log_norm = special.betaln(a, b)
+            return _on_support(y, (y > 0.0) & (y < 1.0), lambda v: np.exp(
+                (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_norm))
+        s = self.scale
+        if self.family == "gaussian":
+            return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        if self.family == "laplace":
+            return np.exp(-np.abs(x) / s) / (2.0 * s)
+        if self.family == "gg":
+            beta = self.shape[0]
+            c = beta / (2.0 * s * special.gamma(1.0 / beta))
+            # np.power, not **: a float's ** is libm's pow, which differs
+            # from the ufunc's in the last bit
+            return c * np.exp(-np.power(np.abs(x / s), beta))
+        if self.family == "triangular":
+            return np.maximum(s - np.abs(x), 0.0) / (s * s)
+        if self.family == "cauchy":
+            return 1.0 / (math.pi * (1.0 + x * x))
+        if self.family == "uniform":
+            return _on_support(x, np.abs(x) <= s, lambda v: 1.0 / (2.0 * s))
+        return _on_support(x, np.abs(x) < s, lambda v: 1.0 / (  # arcsine
+            math.pi * np.sqrt(s * s - v * v)))
+
+
+def _on_support(x, inside, pdf):
+    """pdf(x) where inside holds and 0 elsewhere, for x a float (inside a
+    bool) or an array (inside a mask of the same shape)."""
+    if isinstance(x, float):
+        return pdf(x) if inside else 0.0
+    out = np.zeros_like(x)
+    out[inside] = pdf(x[inside])
+    return out
 
 
 def _fmt(v: float) -> str:

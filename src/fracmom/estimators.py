@@ -146,7 +146,18 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
     Reductions run along the rows, and every early exit or fallback is a
     per-row mask, so row r's result is estimate_full(samples[r], alpha) bit
     for bit whatever the other rows hold.  Rows routed to the proxy go
-    through estimate_proxy_rows together.
+    through estimate_proxy_rows together.  This is the one-alpha case of
+    estimate_full_grid.
+    """
+    return estimate_full_grid(samples, (alpha,))[0]
+
+
+def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
+    """estimate_full_rows(samples, a) for every a in alphas, in order.
+
+    What does not depend on alpha (the input checks, and every row's mean,
+    robust scale, zero floor and step bound) is computed once for the whole
+    grid; only the outer passes run at each alpha.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -154,28 +165,37 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
     rows, n = x.shape
     if n == 0:
         raise ValueError("empty sample")
-    a = alpha_value(alpha)
-    errors: dict[int, Exception] = {}
+    grid = [alpha_value(a) for a in alphas]
     finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        for r in np.flatnonzero(~finite):
-            errors[int(r)] = NonFiniteInput(
-                "sample contains NaN or infinite values")
+    refused = [] if finite.all() else np.flatnonzero(~finite).tolist()
     mean = np.add.reduce(x, axis=-1) / n  # np.mean(x[r]) by its arithmetic
-    if abs(a - 0.5) < ESTIMATOR_BAND:
-        # the sample mean, as estimate_ols gives it
-        return EstimateRows(np.where(finite, mean, math.nan),
-                            np.full(rows, METHOD_OLS, dtype=object),
-                            np.zeros(rows, dtype=int), np.zeros(rows),
-                            np.full(rows, math.nan), np.full(rows, math.nan),
-                            np.ones(rows, dtype=bool), errors)
+    start = None  # set up once an alpha outside the band needs it
+    out = []
+    for a in grid:
+        errors: dict[int, Exception] = {
+            r: NonFiniteInput("sample contains NaN or infinite values")
+            for r in refused}
+        if abs(a - 0.5) < ESTIMATOR_BAND:
+            # the sample mean, as estimate_ols gives it
+            out.append(EstimateRows(
+                np.where(finite, mean, math.nan),
+                np.full(rows, METHOD_OLS, dtype=object),
+                np.zeros(rows, dtype=int), np.zeros(rows),
+                np.full(rows, math.nan), np.full(rows, math.nan),
+                np.ones(rows, dtype=bool), errors))
+            continue
+        if start is None:
+            start = _full_start(x, finite, mean)
+        out.append(_full_passes(x, a, start, errors))
+    return out
 
-    p = second_exponent(a)
-    theta, final_step, cond, det = np.full((4, rows), math.nan)
-    out = EstimateRows(theta, np.full(rows, METHOD_FULL, dtype=object),
-                       np.zeros(rows, dtype=int), final_step, cond, det,
-                       np.zeros(rows, dtype=bool), errors)
-    proxied = []
+
+def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
+    """The alpha-free start of the outer passes, (live, low_floor, state):
+    live indexes the rows that take the passes, low_floor lists the finite
+    rows refused for a zero floor that is not positive, and state holds the
+    live rows' x, mean, zero floor (as a column) and step bounds."""
+    rows, n = x.shape
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         scale = _robust_scale(x, _median(x))
         floor = np.maximum(1e-12 * scale, _tie_smoothing(x, mean[:, None], scale))
@@ -191,17 +211,33 @@ def estimate_full_rows(samples, alpha) -> EstimateRows:
                 q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
                 sd[wide] = (q75 - q25) / 1.349
         clip = STEP_CLIP_SD * sd
-
-        # indices of the rows still iterating, and their x, mean, mu, zero
-        # floor (as a column) and step bounds
         ok = finite & (floor > 0.0)
-        live = np.flatnonzero(ok)
-        state = (x, mean, mean, floor[:, None], -clip, clip)
-        if live.size < rows:
-            for r in np.flatnonzero(finite & ~ok):
-                errors[int(r)] = ValueError("zero_floor must be > 0")
-            state = tuple(v[live] for v in state)
-        xs, xbar, mu, fl, lo, hi = state
+    live = np.flatnonzero(ok)
+    state = (x, mean, floor[:, None], -clip, clip)
+    if live.size == rows:
+        return live, [], state
+    return (live, np.flatnonzero(finite & ~ok).tolist(),
+            tuple(v[live] for v in state))
+
+
+def _full_passes(x: np.ndarray, a: float, start, errors: dict,
+                 ) -> EstimateRows:
+    """The outer passes of estimate_full_rows at one alpha outside the band,
+    from _full_start's start; errors holds the rows refused so far."""
+    live, low_floor, (xs, xbar, fl, lo, hi) = start
+    rows = x.shape[0]
+    p = second_exponent(a)
+    theta, final_step, cond, det = np.full((4, rows), math.nan)
+    out = EstimateRows(theta, np.full(rows, METHOD_FULL, dtype=object),
+                       np.zeros(rows, dtype=int), final_step, cond, det,
+                       np.zeros(rows, dtype=bool), errors)
+    for r in low_floor:
+        errors[r] = ValueError("zero_floor must be > 0")
+    proxied = []
+    # live indexes the rows still iterating; xs, xbar, mu, fl, lo and hi
+    # hold their x, mean, centre, zero floor (as a column) and step bounds
+    mu = xbar
+    with np.errstate(all="ignore"):  # failed rows compute on garbage
         for it in range(1, MAX_OUTER_ITERS + 1):
             m = moment_rows(xs, mu[:, None], p, zero_floor=fl)
             sys = system_rows(m)

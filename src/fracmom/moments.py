@@ -73,8 +73,19 @@ class MomentRows(NamedTuple):
         return FractionalMomentSet(self.p, *(float(v) for v in self.values[:, r]))
 
 
+def winsorize_rows(xi: np.ndarray, fraction: float) -> np.ndarray:
+    """Cap the absolute values of every row of the (M, N) array ``xi`` at
+    their (1 - fraction) quantile, keeping each value's sign, in place, and
+    return ``xi``.  The moments about 0 of the result are the winsorized
+    moments of the residuals ``xi``."""
+    a = np.abs(xi)
+    np.minimum(a, np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True),
+               out=a)
+    return np.copysign(a, xi, out=xi)
+
+
 def moment_rows(x: np.ndarray, center, p: float,
-                winsor_fraction: float = 0.0, zero_floor=1e-12) -> MomentRows:
+                zero_floor=1e-12) -> MomentRows:
     """Plug-in moment sets of the residuals of every row of the (M, N) array
     ``x``.  ``center`` and ``zero_floor`` are scalars or (M, 1) columns;
     the arguments are those of empirical_moments, unchecked."""
@@ -82,9 +93,6 @@ def moment_rows(x: np.ndarray, center, p: float,
     # cost page faults at large N
     xi = x - center
     a = np.abs(xi)
-    if winsor_fraction > 0.0:
-        cap = np.quantile(a, 1.0 - winsor_fraction, axis=-1, keepdims=True)
-        np.minimum(a, cap, out=a)
     work = np.multiply(a, a)
     sums = [np.add.reduce(work, axis=-1)]
     for q in (p - 1.0, p + 1.0, 2.0 * p):
@@ -119,8 +127,10 @@ def empirical_moments(sample, center: float, p: float,
         raise ValueError("empty sample")
     if p <= 0.0:
         raise ValueError("p must be > 0")
-    return moment_rows(x.reshape(1, -1), center, p, winsor_fraction,
-                       zero_floor).row(0)
+    x = x.reshape(1, -1)
+    if winsor_fraction > 0.0:
+        x, center = winsorize_rows(x - center, winsor_fraction), 0.0
+    return moment_rows(x, center, p, zero_floor).row(0)
 
 
 # ---------------------------------------------------------------------------

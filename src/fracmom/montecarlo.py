@@ -20,7 +20,7 @@ from .basis import alpha_value, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
-from .estimators import estimate_full_rows, estimate_proxy_rows
+from .estimators import estimate_full_grid, estimate_proxy_rows
 from .moments import theoretical_moments
 # estimate_full, estimate_proxy and run_baseline are no longer called here;
 # perfbench/tracer.py binds them through this module
@@ -139,15 +139,19 @@ def _mc_block(design: McDesign, g2_theo: dict,
                                       np.ones(len(samples), dtype=bool),
                                       ols_est, design.base_seed, None))
             continue
-        for alpha in design.alpha_values:
-            if estimator == "full" and spec.infinite_variance:
-                # the weight system has no meaning without a second moment,
-                # so the all-False mask refuses every replicate
+        if estimator == "proxy":
+            cells = [estimate_proxy_rows(samples, alpha)
+                     for alpha in design.alpha_values]
+        elif spec.infinite_variance:
+            # the weight system has no meaning without a second moment, so
+            # the cell refuses every replicate
+            cells = [None] * len(design.alpha_values)
+        else:
+            cells = estimate_full_grid(samples, design.alpha_values)
+        for alpha, rows in zip(design.alpha_values, cells):
+            if rows is None:
                 est, ok = ols_est, np.zeros(len(samples), dtype=bool)
             else:
-                solve = (estimate_full_rows if estimator == "full"
-                         else estimate_proxy_rows)
-                rows = solve(samples, alpha)
                 est, ok = rows.theta_hat, rows.ok
             records.append(_aggregate(spec, n, alpha, estimator, est, ok,
                                       ols_est, design.base_seed,

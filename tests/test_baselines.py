@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fracmom import (
     BASELINE_IDS,
+    NonFiniteInput,
     huber_location,
     median_of_means,
     parse_spec,
@@ -11,6 +14,7 @@ from fracmom import (
     trimmed_mean,
     winsorized_mean,
 )
+from fracmom.baselines import baseline_rows
 
 OUTLIER_SAMPLE = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
 
@@ -117,6 +121,22 @@ class TestDispatch:
         x = sample(parse_spec("laplace"), 40, 4)
         for name in BASELINE_IDS:
             assert np.isfinite(run_baseline(name, x))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_alone_and_nan_in_a_batch(self, value):
+        x = sample(parse_spec("laplace"), 20, 5)
+        bad = x.copy()
+        bad[3] = value
+        for fn in (lambda s: trimmed_mean(s, 0.1),
+                   lambda s: winsorized_mean(s, 0.1), huber_location,
+                   median_of_means,
+                   *(lambda s, n=n: run_baseline(n, s) for n in BASELINE_IDS)):
+            with pytest.raises(NonFiniteInput):
+                fn(bad)
+        rows = baseline_rows(np.stack([x, bad, x]))
+        for name in BASELINE_IDS:
+            assert math.isnan(rows[name][1]), name
+            assert rows[name][0] == rows[name][2] == run_baseline(name, x)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,16 @@
 estimate_full_rows, estimate_proxy_rows, the baseline row kernels and the
 plug-in ratio curve evaluate every row of an (M, N) matrix at once; row r
 must come out exactly as that row alone would, whatever the other rows hold.
+estimate_full_grid must give at every alpha what estimate_full_rows gives.
 The proxy rows are checked bit for bit against scipy's brentq, called as the
 per-row proxy called it, and the baselines against their one-sample-at-a-time
 code, both kept here as references.  The golden values pin both calibrators
 on two seeded samples; they were computed before the calibrators were
 batched.  The golden digests pin the Monte Carlo CSVs of a small design;
-they were computed before the proxy and baseline cells were batched.
+they were computed before the proxy and baseline cells were batched.  The
+golden bits pin a third seeded sample's plug-in curves, resamples included,
+and grid variances; they were computed before the alpha-free work was
+hoisted out of the alpha loops.
 """
 
 import hashlib
@@ -44,9 +48,11 @@ from fracmom import (
 )
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
-from fracmom.calibration import _empirical_curves
+from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
+    _with_resamples
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, estimate_full_rows, estimate_proxy_rows
+    _brent, estimate_full_grid, estimate_full_rows, estimate_proxy_rows
+from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
 ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
@@ -88,6 +94,18 @@ def _outcome(fn, *args):
     except Exception as exc:  # the exception is part of the outcome
         return type(exc).__name__, str(exc)
     return _bits(vars(res).values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_matrices(), st.lists(ALPHAS, min_size=1, max_size=4))
+def test_full_grid_matches_one_alpha_at_a_time(x, alphas):
+    grid = estimate_full_grid(x, alphas)
+    assert len(grid) == len(alphas)
+    for alpha, rows in zip(alphas, grid):
+        one = estimate_full_rows(x, alpha)
+        for r in range(x.shape[0]):
+            assert _outcome(rows.result, r) == _outcome(one.result, r)
+        assert list(rows.errors) == list(one.errors)
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,6 +308,12 @@ def _assert_baselines_match_reference(x):
     assert tuple(rows) == BASELINE_IDS
     for name in BASELINE_IDS:
         for r in range(x.shape[0]):
+            if not np.isfinite(x[r]).all():
+                # refused alone, NaN in a batch
+                assert math.isnan(rows[name][r]), (name, r)
+                with pytest.raises(NonFiniteInput):
+                    run_baseline(name, x[r])
+                continue
             expected = float(reference_baseline(name, x[r])).hex()
             assert float(rows[name][r]).hex() == expected, (name, r)
             assert run_baseline(name, x[r]).hex() == expected, (name, r)
@@ -398,6 +422,57 @@ GOLDEN = {
         0.28631674444058647, 0.3394067330831049, 0.3952376389805046,
         0.4527822245012656, 0.5112068014302285]),
 }
+
+
+# float-hex values and a digest computed before the bootstrap matrices were
+# drawn in one call, the plug-in winsorized once per matrix and the grid
+# calibrator set up once per matrix
+BITS_SAMPLE = ("gg:1.5", 300, [2026, 3])
+BITS_PLUGIN = (0.55, (0.0, 0.95), True, (
+    "0x1.ea148403348fdp-1", "0x1.e48015f30e5ebp-1", "0x1.de16be0bbba50p-1",
+    "0x1.d72635b6a7fd0p-1", "0x1.d00dfd2cdfe53p-1", "0x1.c931a1660ef93p-1",
+    "0x1.c2eb849a0443cp-1", "0x1.bd832ac573c0ep-1", "0x1.b927fede53352p-1",
+    "0x1.b5ed413e91723p-1", "0x1.b300b8536fd1ep-1", "0x1.b314343f63c3bp-1",
+    "0x1.b405485606498p-1", "0x1.b5b145b342d38p-1", "0x1.b7f3d6d50b15cp-1",
+    "0x1.baaac606a7575p-1", "0x1.bdb76ff737a98p-1", "0x1.c0ff6b9ba3e5dp-1",
+    "0x1.c46ca7fe63220p-1", "0x1.c7ed2eccf76f5p-1"))
+BITS_PLUGIN_ROWS = \
+    "87fa5f7f8fb80cef9aa5bf4b7b3befcf797aee3480284f4c1079e321ac8cefd4"
+BITS_GRID = (0.25, (0.05, 1.0), True, (
+    "0x1.8ab855317fd61p-9", "0x1.7f84b7eebeacbp-9", "0x1.881ff471bcc04p-9",
+    "0x1.7c7e694f5569bp-9", "0x1.80ba9b8451bc2p-9", "0x1.75caf31b32667p-9",
+    "0x1.7b4eb0c5c482dp-9", "0x1.84aaf6b230480p-9", "0x1.e3d5ad15f5925p-8",
+    "0x1.671207f4e0b77p-6", "0x1.b5562a0388defp-4", "0x1.552fb563d9b7dp-8",
+    "0x1.9caa6fa0f75bap-9", "0x1.7a2dd83f70812p-9", "0x1.786b6b18b6303p-9",
+    "0x1.7951570ac7a34p-9", "0x1.7ae0a6713e8e2p-9", "0x1.7cb219175c3c7p-9",
+    "0x1.7ea27435aeeb2p-9", "0x1.80a20f6318d19p-9"))
+
+
+def _bits_sample():
+    family, n, seed = BITS_SAMPLE
+    return sample(parse_spec(family), n, seed)
+
+
+def _summary_bits(res):
+    return (res.alpha_star, res.sensitivity_interval, res.ambiguous,
+            tuple(float(v).hex() for v in res.curve.g2))
+
+
+def test_plugin_curve_bits():
+    x = _bits_sample()
+    assert _summary_bits(calibrate_plugin(x, bootstrap_b=50, seed=4)) == \
+        BITS_PLUGIN
+    # every resample's curve, through the draw and the winsorization
+    rows = winsorize_rows(_with_resamples(x - float(np.mean(x)), 50, 4),
+                          PLUGIN_WINSOR)
+    values, flags = _empirical_curves(rows, GRID)
+    digest = hashlib.sha256(values.tobytes() + flags.tobytes()).hexdigest()
+    assert digest == BITS_PLUGIN_ROWS
+
+
+def test_grid_variance_bits():
+    res = calibrate_grid_mc(_bits_sample(), GRID, bootstrap_b=100, seed=4)
+    assert _summary_bits(res) == BITS_GRID
 
 
 @pytest.mark.parametrize("criterion,family", sorted(GOLDEN))

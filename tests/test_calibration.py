@@ -6,6 +6,7 @@ import pytest
 from fracmom import (
     AllGridDegenerate,
     DegenerateSample,
+    NonFiniteInput,
     NonFiniteMoment,
     SmallSample,
     calibrate_grid_mc,
@@ -16,6 +17,33 @@ from fracmom import (
     sample,
     topographic_coords,
 )
+
+
+def _with_non_finite(n: int, value: float) -> np.ndarray:
+    x = sample(parse_spec("laplace"), n, [77, 1])
+    x[n // 3] = value
+    return x
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+class TestNonFiniteInput:
+    """A NaN or infinite value is refused as such, never read as a
+    degenerate grid or a NaN diagnostic."""
+
+    def test_plugin(self, value):
+        with pytest.raises(NonFiniteInput):
+            calibrate_plugin(_with_non_finite(60, value), bootstrap_b=10)
+
+    def test_grid_mc(self, value):
+        with pytest.raises(NonFiniteInput):
+            calibrate_grid_mc(_with_non_finite(60, value), (0.05, 0.95),
+                              bootstrap_b=100)
+
+    def test_entropy_diagnostic(self, value):
+        with pytest.raises(NonFiniteInput):
+            entropy_diagnostic(_with_non_finite(200, value))
+        with pytest.raises(NonFiniteInput):
+            topographic_coords(_with_non_finite(200, value))
 
 
 class TestOracleCalibration:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from fracmom import (
@@ -17,6 +18,30 @@ from fracmom import (
 
 FINITE_VAR = ("gaussian", "laplace", "gg:0.5", "gg:1.5", "gg:4", "uniform",
               "arcsine", "triangular", "beta:2:5")
+# every family, with gg:2 (where ** 2 would square) and beta laws that are
+# unbounded at an edge or not centred
+DENSITY_SPECS = tuple(parse_spec(name) for name in FINITE_VAR + (
+    "cauchy", "gg:2", "beta:0.5:0.5", "beta:3:1.5")) \
+    + (DistributionSpec("beta", (2.0, 5.0), standardized=False),)
+
+
+def _density_points(spec):
+    """Points on, next to and outside the support's edges, and far out."""
+    points = [0.0, -0.0, 1e-300, 1e300, -1e300, math.inf, -math.inf]
+    for edge in spec.support:
+        if math.isfinite(edge):
+            points += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf), edge - 1.0,
+                       edge + 1.0, 2.0 * edge]
+    return points
+
+
+def _assert_float_density_is_array_element(spec, x):
+    one = spec.density(float(x))
+    assert isinstance(one, float)
+    with np.errstate(all="ignore"):
+        element = spec.density(np.array([x]))[0]
+    assert float(one).hex() == float(element).hex(), (spec.name, x)
 
 
 class TestSpec:
@@ -115,6 +140,17 @@ class TestDensities:
                 + integrate.quad(lambda x: x * x * spec.density(x), 0, hi,
                                  limit=200)[0]
             assert var == pytest.approx(1.0, abs=1e-8), name
+
+    @pytest.mark.parametrize("spec", DENSITY_SPECS, ids=lambda s: s.name + (
+        "" if s.standardized else "-raw"))
+    def test_float_density_at_edges_is_array_element(self, spec):
+        for x in _density_points(spec):
+            _assert_float_density_is_array_element(spec, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(DENSITY_SPECS), st.floats(-12.0, 12.0))
+    def test_float_density_is_array_element(self, spec, x):
+        _assert_float_density_is_array_element(spec, x)
 
 
 class TestShapeSummaries:

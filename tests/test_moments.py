@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from fracmom import (
     FractionalMomentSet,
     NonFiniteMoment,
     abs_moment,
+    calibrate_oracle,
     empirical_moments,
     parse_spec,
     quadrature_moment,
@@ -15,6 +18,44 @@ from fracmom import (
     signed_moment,
     theoretical_moments,
 )
+from fracmom.moments import moment_rows, winsorize_rows
+
+
+def reference_winsorized_rows(x, p, fraction):
+    """The winsorized moment rows about 0 as moment_rows computed them when
+    it capped the |residuals| itself, at every call."""
+    a = np.abs(x)
+    np.minimum(a, np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True),
+               out=a)
+    sums = [np.add.reduce(a * a, axis=-1)]
+    for q in (p - 1.0, p + 1.0, 2.0 * p):
+        base = np.maximum(a, 1e-12) if q < 0.0 else a
+        sums.append(np.add.reduce(np.power(base, q), axis=-1))
+    sums.append(np.add.reduce(np.sign(x) * np.power(a, p), axis=-1))
+    return np.array(sums) / x.shape[-1]
+
+
+@st.composite
+def residual_rows(draw):
+    """(M, N) residuals whose rows are random, hold -0.0 entries, are
+    constant, or are zero but for a few values (a zero cap)."""
+    n = draw(st.integers(1, 60))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(arrays(np.float64, n, elements=st.floats(
+            -1e6, 1e6, allow_nan=False, allow_subnormal=False)))
+        kind = draw(st.sampled_from(("random", "negzero", "constant",
+                                     "zero_cap")))
+        if kind == "negzero":
+            row[::2] = -0.0
+        elif kind == "constant":
+            row[:] = row[0]
+        elif kind == "zero_cap":
+            keep = row[: max(1, n // 10)].copy()
+            row[:] = draw(st.sampled_from((0.0, -0.0)))
+            row[: keep.size] = -np.abs(keep)
+        rows.append(row)
+    return np.stack(rows)
 
 
 class TestEmpiricalMoments:
@@ -49,6 +90,29 @@ class TestEmpiricalMoments:
         capped = np.minimum(np.abs(x), cap)
         assert wins.c2 == pytest.approx(np.mean(capped**2))
         assert wins.c2 < plain.c2
+
+    @settings(max_examples=300, deadline=None)
+    @given(residual_rows(), st.sampled_from((0.01, 0.1, 0.25)),
+           st.sampled_from((0.1, 0.5, 1.0, 1.05, 1.9, 2.0)))
+    def test_winsorize_once_equals_capping_at_every_call(self, x, fraction,
+                                                         p):
+        expected = reference_winsorized_rows(x, p, fraction)
+        capped = winsorize_rows(x.copy(), fraction)
+        got = moment_rows(capped, 0.0, p).values
+        assert [v.hex() for v in got.ravel().tolist()] == \
+            [v.hex() for v in expected.ravel().tolist()]
+        for r in range(x.shape[0]):
+            one = empirical_moments(x[r], 0.0, p, winsor_fraction=fraction)
+            assert [v.hex() for v in (one.c2, one.nu_pm1, one.nu_pp1,
+                                      one.nu_2p, one.sigma_p)] == \
+                [v.hex() for v in expected[:, r].tolist()]
+
+    def test_winsorize_rows_keeps_signs_and_works_in_place(self):
+        x = np.array([[-4.0, -0.0, 1.0, 2.0, 3.0]])
+        out = winsorize_rows(x, 0.25)
+        assert out is x
+        assert x.tolist() == [[-3.0, -0.0, 1.0, 2.0, 3.0]]
+        assert math.copysign(1.0, x[0, 1]) == -1.0
 
     def test_continuity_in_order(self):
         x = sample(parse_spec("gg:1.5"), 2000, 3)
@@ -137,6 +201,38 @@ class TestTheoreticalMoments:
         spec = parse_spec("beta:2:5")
         # Monte Carlo oracle at 4e6 draws gave sigma_2 ~ +0.0045
         assert signed_moment(spec, 2.0) == pytest.approx(0.004498, abs=2e-4)
+
+    # float-hex values computed before the density had its float route;
+    # the beta law's moments come from quadrature of that density
+    BETA_2_5 = {
+        0.1: ("0x1.a1f58d0fac688p-6", "0x1.30ba431669f3fp+5",
+              "0x1.bea76f7f41d59p-4", "0x1.428d02f7105a1p-1",
+              "-0x1.2bcd065fb0ee0p-4"),
+        1.0: ("0x1.a1f58d0fac688p-6", "0x1.0000000000000p+0",
+              "0x1.a1f58d0fac688p-6", "0x1.a1f58d0fac688p-6",
+              "0x1.0000000000000p-56"),
+        1.9: ("0x1.a1f58d0fac688p-6", "0x1.3f11d6d95067fp-3",
+              "0x1.d8aff5cfc0898p-8", "0x1.3580b0fb19273p-9",
+              "0x1.30602138fad34p-8"),
+    }
+    ORACLE_BETA_2_5 = (
+        "0x1.ec7870ffa7071p-1", "0x1.ec7f17546990dp-1", "0x1.ec8d275287f76p-1",
+        "0x1.eca550e16d621p-1", "0x1.ecca5ebaa40efp-1", "0x1.ecff1759a4680p-1",
+        "0x1.ed461bd5f1af1p-1", "0x1.eda1c594a75e1p-1", "0x1.ee1403fdb5ac9p-1",
+        "0x1.ee9e3b888ae6ap-1", "0x1.effcc21a7b37ap-1", "0x1.f0d02f39047b7p-1",
+        "0x1.f1b9b50e0e1f7p-1", "0x1.f2b6bb15eaa37p-1", "0x1.f3c3d6580b933p-1",
+        "0x1.f4dce1d5bb10cp-1", "0x1.f5fd234df9be0p-1", "0x1.f71f7b2d7da12p-1",
+        "0x1.f83e9d5cf2d18p-1", "0x1.f9554f8bb05dap-1")
+
+    @pytest.mark.parametrize("p", sorted(BETA_2_5))
+    def test_beta_moments_golden(self, p):
+        m = theoretical_moments(parse_spec("beta:2:5"), p)
+        assert tuple(float(v).hex() for v in (
+            m.c2, m.nu_pm1, m.nu_pp1, m.nu_2p, m.sigma_p)) == self.BETA_2_5[p]
+
+    def test_beta_oracle_curve_golden(self):
+        curve = calibrate_oracle(parse_spec("beta:2:5")).curve
+        assert tuple(float(v).hex() for v in curve.g2) == self.ORACLE_BETA_2_5
 
     def test_moment_set_fields(self):
         m = theoretical_moments(parse_spec("laplace", standardized=False), 2.0)
