@@ -37,15 +37,18 @@ def median_rows(x: np.ndarray) -> np.ndarray:
     NaN median."""
     n = x.shape[-1]
     k = n // 2
-    # the partition also moves each row's largest value, a NaN if it holds
-    # one, to its end
+    # one kth, as in estimators._median: numpy's selection with more is
+    # several times slower at large N.  A NaN sorts above every number, so
+    # a row holding one has it at or after the kth, where the largest value
+    # of the upper part finds it.
+    part = np.partition(x, k, axis=-1)
     if n % 2:
-        part = np.partition(x, (k, n - 1), axis=-1)
         mid = part[:, k] + 0.0
     else:
-        part = np.partition(x, (k - 1, k, n - 1), axis=-1)
-        mid = (part[:, k - 1] + part[:, k]) / 2.0 + 0.0
-    np.copyto(mid, np.nan, where=np.isnan(part[:, -1]))
+        lower = np.maximum.reduce(part[:, :k], axis=-1)
+        mid = (lower + part[:, k]) / 2.0 + 0.0
+    nan = np.isnan(np.maximum.reduce(part[:, k:], axis=-1))
+    np.copyto(mid, np.nan, where=nan)
     return mid
 
 

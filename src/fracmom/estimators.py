@@ -101,10 +101,13 @@ def _median(x: np.ndarray) -> np.ndarray:
     arithmetic, except that a -0.0 median may stay -0.0."""
     n = x.shape[-1]
     k = n // 2
+    # one kth: numpy's selection with two is several times slower at large
+    # N.  For even N the lower middle value is the largest of the k values
+    # below the kth, which is the (k - 1)-th order statistic bit for bit.
+    part = np.partition(x, k, axis=-1)
     if n % 2:
-        return np.partition(x, k, axis=-1)[..., k]
-    part = np.partition(x, (k - 1, k), axis=-1)
-    return (part[..., k - 1] + part[..., k]) / 2.0
+        return part[..., k]
+    return (np.maximum.reduce(part[..., :k], axis=-1) + part[..., k]) / 2.0
 
 
 def _robust_scale(x: np.ndarray, med: np.ndarray) -> np.ndarray:
@@ -340,7 +343,11 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
         ends = np.empty((2, live.size))
         np.subtract(med, half, out=ends[0])
         np.add(med, half, out=ends[1])
-        scores = _proxy_scores(x, ends, a, eps)
+        # the residuals of every score evaluation go into views of one work
+        # array per call: a fresh array at every Brent step costs page faults
+        # at large N, and calls may run in threads, so it is not shared
+        buf = np.empty((2,) + x.shape)
+        scores = _proxy_scores(x, ends, a, eps, buf)
         # score is strictly decreasing in mu, so a sign change must appear
         # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
         # are checked
@@ -358,8 +365,9 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
                         f"for p={p}")
                 searching = ~wide
                 break
-            scores[:, wide] = _proxy_scores(x[wide], ends[:, wide], a,
-                                            _take(eps, wide))
+            xw = x[wide]
+            scores[:, wide] = _proxy_scores(xw, ends[:, wide], a,
+                                            _take(eps, wide), buf[:, :len(xw)])
 
         # the Brent searches of the bracketed rows in lock-step: every round
         # sends each search the score of the point it yielded last (None
@@ -371,6 +379,7 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
                     for j, r in enumerate(live.tolist()) if searching[j]]
         if len(searches) < live.size:
             x, eps = x[searching], _take(eps, searching)
+        resid = buf[0, :len(x)]
         sent = [None] * len(searches)
         while searches:
             going, points = [], []
@@ -390,7 +399,8 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
                 if not searches:
                     break
                 x, eps = x[going], _take(eps, going)
-            sent = _proxy_scores(x, np.array(points), a, eps).tolist()
+                resid = resid[:len(x)]
+            sent = _proxy_scores(x, np.array(points), a, eps, resid).tolist()
     for r in errors:
         out.theta_hat[r] = math.nan
     return out
@@ -401,11 +411,12 @@ def _take(eps, rows):
 
 
 def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
-                  eps: np.ndarray | None) -> np.ndarray:
+                  eps: np.ndarray | None, resid: np.ndarray) -> np.ndarray:
     """The proxy score sum_j basis_value(2, a, x[r, j] - mu[..., r], eps[r])
     of every row r of x, at the points mu holds for it along its last axis;
-    eps None stands for 0 in every row."""
-    xi = x - mu[..., None]
+    eps None stands for 0 in every row.  The residuals are written into
+    resid, which has their shape, so that no step allocates them."""
+    xi = np.subtract(x, mu[..., None], resid)
     v = basis_value(2, a, xi)
     if eps is not None:
         for r in np.flatnonzero(eps > 0.0):

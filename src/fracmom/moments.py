@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import DistributionSpec
-from .errors import NonFiniteMoment, QuadratureError
+from .errors import NonFiniteInput, NonFiniteMoment, QuadratureError
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -116,7 +116,8 @@ def empirical_moments(sample, center: float, p: float,
 
     ``zero_floor`` clamps |residual| only in negative-exponent terms; with
     ``winsor_fraction > 0`` the absolute residuals are capped at their
-    (1 - f) quantile before powering.
+    (1 - f) quantile before powering.  A sample holding NaN or inf raises
+    NonFiniteInput.
     """
     if not 0.0 <= winsor_fraction <= 0.25:
         raise ValueError("winsor_fraction must lie in [0, 0.25]")
@@ -125,6 +126,8 @@ def empirical_moments(sample, center: float, p: float,
     x = np.asarray(sample, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("sample contains NaN or infinite values")
     if p <= 0.0:
         raise ValueError("p must be > 0")
     x = x.reshape(1, -1)

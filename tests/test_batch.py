@@ -12,7 +12,8 @@ batched.  The golden digests pin the Monte Carlo CSVs of a small design;
 they were computed before the proxy and baseline cells were batched.  The
 golden bits pin a third seeded sample's plug-in curves, resamples included,
 and grid variances; they were computed before the alpha-free work was
-hoisted out of the alpha loops.
+hoisted out of the alpha loops.  The two medians, which select with one kth,
+are checked bit for bit against np.median on rows up to 10^5 long.
 """
 
 import hashlib
@@ -46,12 +47,13 @@ from fracmom import (
     write_baseline_csv,
     write_mc_csv,
 )
-from fracmom.baselines import baseline_rows
+from fracmom.baselines import baseline_rows, median_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, estimate_full_grid, estimate_full_rows, estimate_proxy_rows
+    _brent, _median, estimate_full_grid, estimate_full_rows, \
+    estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -326,11 +328,46 @@ def test_baseline_rows_match_reference(x):
         _assert_baselines_match_reference(x)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 99, 100, 101, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 99, 100, 101, 1000, 100_000])
 def test_baseline_rows_match_reference_by_n(n):
     x = np.stack([sample(parse_spec(family), n, [8, r])
                   for r, family in enumerate(("laplace", "cauchy", "gg:4"))])
     _assert_baselines_match_reference(np.vstack([x, np.round(x, 1)]))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+def test_proxy_rows_match_brentq_at_large_n(alpha):
+    _assert_proxy_rows_match_brentq(
+        sample(parse_spec("laplace"), 100_000, 12)[None, :], alpha)
+
+
+def _selection_rows(n, non_finite):
+    """Rows of n for the medians: random, sorted high to low, tied, all
+    ±0.0, and ties mixed with ±0.0; with non_finite, also rows holding NaN,
+    +inf, -inf or both infinities."""
+    rng = np.random.default_rng([14, n])
+    rows = [rng.standard_normal(n), np.sort(rng.standard_normal(n))[::-1],
+            np.round(rng.standard_normal(n)), rng.choice([-0.0, 0.0], n),
+            rng.choice([-1.0, -0.0, 0.0, 0.0, 2.0], n)]
+    if non_finite:
+        for bad in ([math.nan], [math.inf], [-math.inf],
+                    [math.inf, -math.inf], [math.nan] * (n // 2 + 1)):
+            row = rng.standard_normal(n)
+            at = rng.permutation(n)[:len(bad)]
+            row[at] = bad[:at.size]
+            rows.append(row)
+    return np.stack(rows)
+
+
+# at N = 2316 a row sorted high to low leaves the lower half's largest value
+# away from k - 1 after numpy 2.4's single-kth selection on AVX-512
+@pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 2316, 100_000])
+def test_medians_are_np_median_bit_for_bit(n):
+    with np.errstate(all="ignore"):
+        x = _selection_rows(n, non_finite=False)
+        assert _bits(_median(x) + 0.0) == _bits(np.median(x, axis=-1) + 0.0)
+        x = _selection_rows(n, non_finite=True)
+        assert _bits(median_rows(x)) == _bits(np.median(x, axis=-1) + 0.0)
 
 
 GOLDEN_DESIGN = McDesign(

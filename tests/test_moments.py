@@ -8,6 +8,7 @@ from scipy import special
 
 from fracmom import (
     FractionalMomentSet,
+    NonFiniteInput,
     NonFiniteMoment,
     abs_moment,
     calibrate_oracle,
@@ -130,6 +131,14 @@ class TestEmpiricalMoments:
             empirical_moments([1.0], 0.0, 1.0, winsor_fraction=0.3)
         with pytest.raises(ValueError):
             empirical_moments([1.0], 0.0, 1.0, zero_floor=0.0)
+
+    @pytest.mark.parametrize("bad, p", [(math.nan, 1.0), (math.inf, 1.5),
+                                        (-math.inf, 0.7)])
+    def test_non_finite_sample_refused(self, bad, p):
+        with pytest.raises(NonFiniteInput):
+            empirical_moments([1.0, bad, 2.0], 0.0, p)
+        with pytest.raises(NonFiniteInput):
+            empirical_moments([1.0, bad, 2.0], 0.0, p, winsor_fraction=0.1)
 
     def test_nonnegative_fields_enforced(self):
         with pytest.raises(ValueError):
