@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteInput
+from .errors import sample_row, sample_rows
 
 BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
@@ -20,15 +20,6 @@ BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
 HUBER_TUNING = 1.345  # 95% efficiency at the Gaussian
 HUBER_MAX_ITERS = 100
 MAD_TO_SD = 1.4826
-
-
-def _as_row(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("sample contains NaN or infinite values")
-    return x
 
 
 def median_rows(x: np.ndarray) -> np.ndarray:
@@ -81,13 +72,13 @@ def _winsorized_rows(s: np.ndarray, fraction: float) -> np.ndarray:
 
 def trimmed_mean(sample, fraction: float) -> float:
     """Mean after dropping floor(fraction*N) values from each end."""
-    return float(_trimmed_rows(np.sort(_as_row(sample)), fraction)[0])
+    return float(_trimmed_rows(np.sort(sample_row(sample)), fraction)[0])
 
 
 def winsorized_mean(sample, fraction: float) -> float:
     """Mean after clamping floor(fraction*N) extremes on each side to the
     nearest retained order statistic."""
-    return float(_winsorized_rows(np.sort(_as_row(sample)), fraction)[0])
+    return float(_winsorized_rows(np.sort(sample_row(sample)), fraction)[0])
 
 
 def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
@@ -137,7 +128,7 @@ def huber_location(sample, tuning_c: float = HUBER_TUNING) -> float:
 
     The scale s = MAD * 1.4826 is held fixed; a zero MAD returns the median.
     """
-    return float(huber_rows(_as_row(sample), tuning_c)[0])
+    return float(huber_rows(sample_row(sample), tuning_c)[0])
 
 
 def median_of_means_rows(x: np.ndarray, blocks: int | None = None,
@@ -161,7 +152,7 @@ def median_of_means_rows(x: np.ndarray, blocks: int | None = None,
 def median_of_means(sample, blocks: int | None = None) -> float:
     """Median of the means of contiguous in-order blocks (sizes differ by
     at most one); defaults to ceil(sqrt(N)) blocks."""
-    return float(median_of_means_rows(_as_row(sample), blocks)[0])
+    return float(median_of_means_rows(sample_row(sample), blocks)[0])
 
 
 def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
@@ -169,15 +160,11 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     row of an (M, N) matrix: name -> (M,) estimates.  median, trimmed10 and
     winsorized10 share one sort of the rows.  A row holding NaN or inf gets
     NaN from every baseline."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("samples must be an (M, N) array")
-    if x.shape[1] == 0:
-        raise ValueError("empty sample")
+    x, finite = sample_rows(samples)
     unknown = [name for name in names if name not in BASELINE_IDS]
     if unknown:
         raise ValueError(f"unknown baseline {unknown[0]!r}")
-    bad = ~np.isfinite(x).all(axis=1)
+    bad = ~finite
     if bad.any():
         # zeros in place of the non-finite rows leave every other row's
         # estimates as they are; those rows are set to NaN at the end
@@ -211,5 +198,5 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
 
 def run_baseline(baseline_id: str, sample) -> float:
     """Dispatch one of the six baselines with its standard settings."""
-    rows = baseline_rows(_as_row(sample), (baseline_id,))
+    rows = baseline_rows(sample_row(sample), (baseline_id,))
     return float(rows[baseline_id][0])

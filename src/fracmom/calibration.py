@@ -19,8 +19,8 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 # here; perfbench/tracer.py binds them through this module
 from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
     g2_with_flag  # noqa: F401
-from .errors import AllGridDegenerate, DegenerateSample, NonFiniteInput, \
-    SmallSample
+from .errors import AllGridDegenerate, DegenerateSample, SmallSample, \
+    sample_row
 from .estimators import estimate_full, estimate_full_grid  # noqa: F401
 from .moments import empirical_moments, moment_rows, \
     winsorize_rows  # noqa: F401
@@ -66,11 +66,6 @@ def calibrate_oracle(spec: DistributionSpec, grid_step: float = 0.05,
     return CalibrationResult(curve.argmin_alpha, "oracle", curve, interval, flat)
 
 
-def _require_finite(x: np.ndarray) -> None:
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("sample contains NaN or infinite values")
-
-
 def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in ratio and degeneracy flag of every residual row (axis 0) at
@@ -109,10 +104,12 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     then evaluated at every alpha; a resample with no usable ratio is
     skipped.
     """
-    x = np.asarray(sample, dtype=float)
+    if bootstrap_b < 0:
+        raise ValueError("bootstrap_b must be >= 0")
+    x = np.asarray(sample, dtype=float).ravel()
     if x.size < 30:
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
-    _require_finite(x)
+    x = sample_row(x)[0]
     resid = x - float(np.mean(x))
     alphas = alpha_grid(grid_step, band)
     values, flags = _empirical_curves(winsorize_rows(
@@ -148,11 +145,10 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     """
     if bootstrap_b < 100:
         raise ValueError("bootstrap_b must be >= 100")
-    x = np.asarray(sample, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
-    _require_finite(x)
+    x = sample_row(sample)[0]
     # the matrix first, so that choice's temporaries are freed from the top
     # of the heap
     boots = np.empty((bootstrap_b, x.size))
@@ -199,10 +195,10 @@ def silverman_bandwidth(resid: np.ndarray) -> float:
 def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     """Plug-in differential entropy via Epanechnikov KDE, plus the derived
     entropy coefficient k = exp(H)/(2*sd) and contrexcess."""
-    resid = np.asarray(residuals, dtype=float)
+    resid = np.asarray(residuals, dtype=float).ravel()
     if resid.size < 100:
         raise SmallSample(f"entropy diagnostic needs N >= 100, got {resid.size}")
-    _require_finite(resid)
+    resid = sample_row(resid)[0]
     sd = float(np.std(resid, ddof=1))
     if sd == 0.0:
         raise DegenerateSample("zero-variance residuals")

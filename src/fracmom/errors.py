@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of input
+samples that every estimator, baseline and calibrator makes."""
+
+import numpy as np
 
 
 class FracmomError(Exception):
@@ -43,3 +46,36 @@ class BracketFailure(FracmomError):
 
 class QuadratureError(FracmomError):
     """Adaptive quadrature did not reach the requested tolerance."""
+
+
+_NON_FINITE = "sample contains NaN or infinite values"
+
+
+def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, N) sample matrix as floats, and which of its rows are all
+    finite.  Raises ValueError for a matrix that is not 2-D or is empty."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("samples must be an (M, N) array")
+    if x.shape[1] == 0:
+        raise ValueError("empty sample")
+    return x, np.isfinite(x).all(axis=1)
+
+
+def sample_row(sample) -> np.ndarray:
+    """One sample of any shape, flattened to a (1, N) row of floats.
+    Raises ValueError when it is empty and NonFiniteInput when it holds
+    NaN or inf."""
+    x, finite = sample_rows(np.asarray(sample, dtype=float).reshape(1, -1))
+    if not finite[0]:
+        raise NonFiniteInput(_NON_FINITE)
+    return x
+
+
+def non_finite_errors(finite: np.ndarray) -> dict[int, Exception]:
+    """A NonFiniteInput for every row that ``finite`` marks False, keyed by
+    row index, in row order."""
+    if finite.all():
+        return {}
+    return {r: NonFiniteInput(_NON_FINITE)
+            for r in np.flatnonzero(~finite).tolist()}

@@ -17,8 +17,8 @@ from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 # build_correlant_system and empirical_moments are no longer called here;
 # perfbench/tracer.py binds them through this module
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
-from .errors import BracketFailure, FracmomError, NonFiniteInput, \
-    NonFiniteMoment
+from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
+    non_finite_errors, sample_rows
 from .moments import empirical_moments, moment_rows  # noqa: F401
 
 METHOD_FULL = "full"
@@ -87,15 +87,6 @@ class EstimateRows:
 _RESULT_FIELDS = tuple(f.name for f in fields(EstimateResult))
 
 
-def _as_clean_array(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("empty sample")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("sample contains NaN or infinite values")
-    return x
-
-
 def _median(x: np.ndarray) -> np.ndarray:
     """np.median along the last axis of rows without NaN, by the same
     arithmetic, except that a -0.0 median may stay -0.0."""
@@ -124,10 +115,10 @@ def _tie_smoothing(x: np.ndarray, center, scale) -> np.ndarray:
 
 
 def estimate_ols(sample) -> EstimateResult:
-    """Sample mean, tagged as the baseline/fallback method."""
-    x = _as_clean_array(sample)
-    return EstimateResult(float(np.mean(x)), METHOD_OLS, 0, 0.0,
-                          math.nan, math.nan, True)
+    """Sample mean, tagged as the baseline/fallback method: the batch of one
+    of estimate_full_grid's mean route."""
+    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    return estimate_full_grid(x, (0.5,))[0].result(0)
 
 
 def estimate_full(sample, alpha) -> EstimateResult:
@@ -137,49 +128,35 @@ def estimate_full(sample, alpha) -> EstimateResult:
     the current center, solves for the weights, and takes one clipped Newton
     step on the weighted score.  Falls back to the scalar proxy when the
     weight system is singular/ill-conditioned and to the mean inside the
-    protected alpha band.  The batch of one of estimate_full_rows.
+    protected alpha band.  The batch of one of estimate_full_grid.
     """
     x = np.asarray(sample, dtype=float).reshape(1, -1)
-    return estimate_full_rows(x, alpha).result(0)
-
-
-def estimate_full_rows(samples, alpha) -> EstimateRows:
-    """estimate_full on every row of an (M, N) matrix, all rows at once.
-
-    Reductions run along the rows, and every early exit or fallback is a
-    per-row mask, so row r's result is estimate_full(samples[r], alpha) bit
-    for bit whatever the other rows hold.  Rows routed to the proxy go
-    through estimate_proxy_rows together.  This is the one-alpha case of
-    estimate_full_grid.
-    """
-    return estimate_full_grid(samples, (alpha,))[0]
+    return estimate_full_grid(x, (alpha,))[0].result(0)
 
 
 def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
-    """estimate_full_rows(samples, a) for every a in alphas, in order.
+    """estimate_full on every row of an (M, N) matrix at every alpha in
+    alphas: one EstimateRows per alpha, in order.
 
-    What does not depend on alpha (the input checks, and every row's mean,
-    robust scale, zero floor and step bound) is computed once for the whole
-    grid; only the outer passes run at each alpha.
+    Reductions run along the rows, and every early exit or fallback is a
+    per-row mask, so row r's result is estimate_full(samples[r], a) bit for
+    bit whatever the other rows hold.  Rows routed to the proxy go through
+    estimate_proxy_rows together.  What does not depend on alpha (the input
+    checks, and every row's mean, robust scale, zero floor and step bound)
+    is computed once for the whole grid; only the outer passes run at each
+    alpha.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("samples must be an (M, N) array")
+    x, finite = sample_rows(samples)
     rows, n = x.shape
-    if n == 0:
-        raise ValueError("empty sample")
     grid = [alpha_value(a) for a in alphas]
-    finite = np.isfinite(x).all(axis=1)
-    refused = [] if finite.all() else np.flatnonzero(~finite).tolist()
-    mean = np.add.reduce(x, axis=-1) / n  # np.mean(x[r]) by its arithmetic
+    with np.errstate(invalid="ignore"):  # inf - inf in a refused row
+        mean = np.add.reduce(x, axis=-1) / n  # np.mean(x[r])'s arithmetic
     start = None  # set up once an alpha outside the band needs it
     out = []
     for a in grid:
-        errors: dict[int, Exception] = {
-            r: NonFiniteInput("sample contains NaN or infinite values")
-            for r in refused}
+        errors = non_finite_errors(finite)
         if abs(a - 0.5) < ESTIMATOR_BAND:
-            # the sample mean, as estimate_ols gives it
+            # the sample mean
             out.append(EstimateRows(
                 np.where(finite, mean, math.nan),
                 np.full(rows, METHOD_OLS, dtype=object),
@@ -225,7 +202,7 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
 
 def _full_passes(x: np.ndarray, a: float, start, errors: dict,
                  ) -> EstimateRows:
-    """The outer passes of estimate_full_rows at one alpha outside the band,
+    """The outer passes of estimate_full_grid at one alpha outside the band,
     from _full_start's start; errors holds the rows refused so far."""
     live, low_floor, (xs, xbar, fl, lo, hi) = start
     rows = x.shape[0]
@@ -308,29 +285,22 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
     searching.  Row r's result is estimate_proxy(samples[r], alpha) bit for
     bit whatever the other rows hold.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("samples must be an (M, N) array")
-    rows, n = x.shape
-    if n == 0:
-        raise ValueError("empty sample")
+    x, finite = sample_rows(samples)
+    rows = x.shape[0]
     a = alpha_value(alpha)
     p = second_exponent(a)
-    errors: dict[int, Exception] = {}
+    errors = non_finite_errors(finite)
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         med = _median(x) + 0.0  # np.median's +0.0 for a -0.0 median
         out = EstimateRows(med, np.full(rows, METHOD_PROXY, dtype=object),
                            np.zeros(rows, dtype=int), np.zeros(rows),
                            np.full(rows, math.nan), np.full(rows, math.nan),
                            np.ones(rows, dtype=bool), errors)
-        finite = np.isfinite(x).all(axis=1)
         # a constant row's root is its value, which the median already holds
         live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
         if live.size < rows:
-            for r in np.flatnonzero(~finite):
-                errors[int(r)] = NonFiniteInput(
-                    "sample contains NaN or infinite values")
             if live.size == 0:
+                out.theta_hat[~finite] = math.nan
                 return out
             x, med = x[live], med[live]
         scale = _robust_scale(x, med)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import DistributionSpec
-from .errors import NonFiniteInput, NonFiniteMoment, QuadratureError
+from .errors import NonFiniteMoment, QuadratureError, sample_row
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -117,20 +117,17 @@ def empirical_moments(sample, center: float, p: float,
     ``zero_floor`` clamps |residual| only in negative-exponent terms; with
     ``winsor_fraction > 0`` the absolute residuals are capped at their
     (1 - f) quantile before powering.  A sample holding NaN or inf raises
-    NonFiniteInput.
+    NonFiniteInput, and a non-finite center or p ValueError.
     """
     if not 0.0 <= winsor_fraction <= 0.25:
         raise ValueError("winsor_fraction must lie in [0, 0.25]")
     if not zero_floor > 0.0:
         raise ValueError("zero_floor must be > 0")
-    x = np.asarray(sample, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("sample contains NaN or infinite values")
-    if p <= 0.0:
-        raise ValueError("p must be > 0")
-    x = x.reshape(1, -1)
+    x = sample_row(sample)
+    if not 0.0 < p < math.inf:  # False for NaN
+        raise ValueError(f"p must be finite and > 0, got {p}")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center}")
     if winsor_fraction > 0.0:
         x, center = winsorize_rows(x - center, winsor_fraction), 0.0
     return moment_rows(x, center, p, zero_floor).row(0)
@@ -230,8 +227,8 @@ def theoretical_moments(spec: DistributionSpec, p: float) -> FractionalMomentSet
     Raises NonFiniteMoment when a required order diverges (cauchy always
     fails through its second moment).
     """
-    if p <= 0.0:
-        raise ValueError("p must be > 0")
+    if not 0.0 < p < math.inf:  # False for NaN
+        raise ValueError(f"p must be finite and > 0, got {p}")
     return FractionalMomentSet(
         p=p,
         c2=abs_moment(spec, 2.0),

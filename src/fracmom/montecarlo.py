@@ -249,12 +249,10 @@ def write_sweep_csv(curve, path) -> None:
 
 def write_calibration_csv(result, path) -> None:
     """Per-grid criterion values plus a one-line summary record."""
-    rows = [(a, v, flag) for a, v, flag in result.curve.rows()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,criterion_value,flag\n")
-        for a, v, flag in rows:
-            fh.write(f"{_fmt(a)},{_fmt(v)},{flag}\n")
-        lo, hi = result.sensitivity_interval
+    write_csv_rows(path, ("alpha", "criterion_value", "flag"),
+                   result.curve.rows())
+    lo, hi = result.sensitivity_interval
+    with open(path, "a", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# alpha_star={_fmt(result.alpha_star)}"
                  f" criterion={result.criterion}"
                  f" interval={_fmt(lo)}..{_fmt(hi)}"

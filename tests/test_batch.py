@@ -1,9 +1,10 @@
 """The batched kernels against their batch of one and their per-row code.
 
-estimate_full_rows, estimate_proxy_rows, the baseline row kernels and the
+estimate_full_grid, estimate_proxy_rows, the baseline row kernels and the
 plug-in ratio curve evaluate every row of an (M, N) matrix at once; row r
 must come out exactly as that row alone would, whatever the other rows hold.
-estimate_full_grid must give at every alpha what estimate_full_rows gives.
+estimate_full_grid must give at every alpha of a grid what it gives on that
+alpha alone.
 The proxy rows are checked bit for bit against scipy's brentq, called as the
 per-row proxy called it, and the baselines against their one-sample-at-a-time
 code, both kept here as references.  The golden values pin both calibrators
@@ -52,8 +53,7 @@ from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, _median, estimate_full_grid, estimate_full_rows, \
-    estimate_proxy_rows
+    _brent, _median, estimate_full_grid, estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -104,7 +104,7 @@ def test_full_grid_matches_one_alpha_at_a_time(x, alphas):
     grid = estimate_full_grid(x, alphas)
     assert len(grid) == len(alphas)
     for alpha, rows in zip(alphas, grid):
-        one = estimate_full_rows(x, alpha)
+        one = estimate_full_grid(x, (alpha,))[0]
         for r in range(x.shape[0]):
             assert _outcome(rows.result, r) == _outcome(one.result, r)
         assert list(rows.errors) == list(one.errors)
@@ -113,7 +113,7 @@ def test_full_grid_matches_one_alpha_at_a_time(x, alphas):
 @settings(max_examples=300, deadline=None)
 @given(sample_matrices(), ALPHAS)
 def test_full_rows_match_batch_of_one(x, alpha):
-    rows = estimate_full_rows(x, alpha)
+    rows = estimate_full_grid(x, (alpha,))[0]
     for r in range(x.shape[0]):
         assert _outcome(rows.result, r) == _outcome(estimate_full, x[r], alpha)
         assert rows.ok[r] == (r not in rows.errors)
@@ -122,7 +122,7 @@ def test_full_rows_match_batch_of_one(x, alpha):
 def test_nan_row_fails_alone():
     x = np.stack([sample(parse_spec("laplace"), 50, [9, r]) for r in range(3)])
     x[1, 7] = math.nan
-    rows = estimate_full_rows(x, 0.05)
+    rows = estimate_full_grid(x, (0.05,))[0]
     assert rows.ok.tolist() == [True, False, True]
     assert math.isnan(rows.theta_hat[1])
     for r in (0, 2):
@@ -131,7 +131,7 @@ def test_nan_row_fails_alone():
 
 def test_constant_row_routes_to_proxy():
     x = np.stack([np.full(20, 2.5), sample(parse_spec("gg:4"), 20, 3)])
-    rows = estimate_full_rows(x, 0.3)
+    rows = estimate_full_grid(x, (0.3,))[0]
     assert rows.method.tolist() == ["proxy", "full"]
     assert rows.theta_hat[0] == 2.5
 
@@ -214,6 +214,15 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     _assert_proxy_rows_match_brentq(x, alpha)
     # the outlier row needs its bracket widened
     assert estimate_proxy_rows(x[3:4], alpha).ok.all()
+
+
+def test_refused_row_reads_nan_whatever_the_others_hold():
+    bad = np.array([1.0, math.inf, 2.0])
+    for x in (bad[None, :], np.stack([bad, np.full(3, 2.0)]),
+              np.stack([bad, [1.0, 3.0, 2.0]])):
+        rows = estimate_proxy_rows(x, 0.05)
+        assert list(rows.errors) == [0]
+        assert math.isnan(rows.theta_hat[0])
 
 
 def test_nan_score_row_fails_alone():

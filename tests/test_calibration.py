@@ -45,6 +45,47 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteInput):
             topographic_coords(_with_non_finite(200, value))
 
+    def test_argument_checks_come_first(self, value):
+        with pytest.raises(SmallSample):
+            calibrate_plugin(_with_non_finite(29, value))
+        with pytest.raises(ValueError, match="bootstrap_b"):
+            calibrate_plugin(_with_non_finite(60, value), bootstrap_b=-1)
+        with pytest.raises(ValueError, match="bootstrap_b"):
+            calibrate_grid_mc(_with_non_finite(60, value), (0.05,),
+                              bootstrap_b=50)
+        with pytest.raises(ValueError, match="alpha grid"):
+            calibrate_grid_mc(_with_non_finite(60, value), (),
+                              bootstrap_b=100)
+        with pytest.raises(SmallSample):
+            entropy_diagnostic(_with_non_finite(99, value))
+
+
+def _summary(res):
+    """A CalibrationResult as a comparable tuple, curve values by bits."""
+    return (res.alpha_star, res.criterion, res.sensitivity_interval,
+            res.ambiguous, res.entropy, res.curve.alphas.tolist(),
+            [float(v).hex() for v in res.curve.g2],
+            res.curve.degenerate.tolist())
+
+
+class TestSampleShape:
+    """A sample of any shape is read flattened, as the estimators read it."""
+
+    def test_plugin(self):
+        x = sample(parse_spec("gaussian"), 200, [12, 2])
+        assert _summary(calibrate_plugin(x.reshape(2, -1), bootstrap_b=40)) \
+            == _summary(calibrate_plugin(x, bootstrap_b=40))
+
+    def test_grid_mc(self):
+        x = sample(parse_spec("laplace"), 60, 1)
+        assert _summary(calibrate_grid_mc(x.reshape(2, -1), (0.05, 0.95),
+                                          bootstrap_b=100)) == \
+            _summary(calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=100))
+
+    def test_entropy_diagnostic(self):
+        x = sample(parse_spec("laplace"), 200, 5)
+        assert entropy_diagnostic(x.reshape(2, -1)) == entropy_diagnostic(x)
+
 
 class TestOracleCalibration:
     def test_laplace_prefers_fractal_end(self):
@@ -81,6 +122,18 @@ class TestPluginCalibration:
     def test_constant_sample_all_degenerate(self):
         with pytest.raises(AllGridDegenerate):
             calibrate_plugin(np.full(100, 3.14))
+
+    @pytest.mark.parametrize("count", [-1, -5])
+    def test_negative_bootstrap_refused(self, count):
+        x = sample(parse_spec("laplace"), 60, 1)
+        with pytest.raises(ValueError, match="bootstrap_b must be >= 0"):
+            calibrate_plugin(x, bootstrap_b=count)
+
+    def test_zero_bootstrap_reads_the_sample_alone(self):
+        x = sample(parse_spec("laplace"), 60, 1)
+        res = calibrate_plugin(x, bootstrap_b=0)
+        assert res.sensitivity_interval == (res.alpha_star, res.alpha_star)
+        assert not res.ambiguous
 
     def test_laplace_picks_fractal_side(self):
         # measured hit rate with these seeds: 0.92 for alpha* <= 0.45

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -243,6 +244,39 @@ class TestCalibrateCommand:
                          "grid", "--bootstrap", "30"]) == 2
         assert "bootstrap_b must be >= 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["-1", "-5"])
+    def test_plugin_refuses_negative_bootstrap(self, data_file, capsys,
+                                               count):
+        assert cli_main(["calibrate", "--data", str(data_file), "--criterion",
+                         "plugin", "--bootstrap", count]) == 2
+        assert "bootstrap_b must be >= 0" in capsys.readouterr().err
+
+
+# sha256 of every reproduce-all CSV at --seed 11 --replicates 25; a change
+# that alters results on purpose updates them and says so
+REPRODUCE_DIGESTS = {
+    "baselines.csv":
+        "ef5bef9944fdd0522ec3ab7cd46353a7c4b4f25625bf164582c135edd93e4d18",
+    "calibrate_oracle_laplace.csv":
+        "33957d53398367f54a411955c559c1ac822cbf6462606ebb0d6ca504000ce372",
+    "mc_results.csv":
+        "c5917c64eaebeae9a8c947e037e086de53f4d31d15a9171a3f17d9f2eb4d20a0",
+    "sweep_beta_2_5.csv":
+        "24340c2318717648cc6022f9b7f174330b7867c48761e40ad4046f20df73b8a1",
+    "sweep_gaussian.csv":
+        "46b36f6e0c4d008ac705f6eab8f13c7eac320564222fc82131675471d6ba2279",
+    "sweep_gg_0.5.csv":
+        "581d40d9d73d1dc3e38a0962f0bf86925a73b5e12641ce6007c5e487df766864",
+    "sweep_gg_1.5.csv":
+        "5f1ea91541324715e0620471ecab5f2ed0795649a5d559db3aaa478f0dbd290e",
+    "sweep_gg_4.csv":
+        "98c2146b25989c7c450504e2edf87e68ea138e765bdc294fbdf0eb70710ccbbe",
+    "sweep_laplace.csv":
+        "0e8062cdc82909551a693b57ad07da90e069711006dd5749a189b3d590a87ae1",
+    "topographic.csv":
+        "68bf57fafdeb3fb98192bcb6762426e615c9c0cb2bea42a5f789b46987b225a2",
+}
+
 
 class TestReproduceAll:
     def test_byte_identical_reruns(self, tmp_path):
@@ -255,5 +289,9 @@ class TestReproduceAll:
         assert any(n.startswith("sweep_") for n in names)
         assert "topographic.csv" in names
         assert "bench.csv" not in names
+        assert names == sorted(REPRODUCE_DIGESTS)
         for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+            data = (out1 / name).read_bytes()
+            assert data == (out2 / name).read_bytes(), name
+            assert hashlib.sha256(data).hexdigest() == \
+                REPRODUCE_DIGESTS[name], name

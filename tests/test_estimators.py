@@ -57,12 +57,19 @@ class TestFullEstimator:
             res = estimate_full(x, a)
             assert res.method == "ols_fallback"
             assert res.theta_hat == pytest.approx(float(np.mean(x)), abs=0)
+        # estimate_ols is the batch of one of this route: equal field for
+        # field, compared by repr so that NaN fields match
+        assert list(map(repr, vars(estimate_ols(x)).values())) == \
+            list(map(repr, vars(estimate_full(x, 0.5)).values()))
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(NonFiniteInput):
             estimate_full([1.0, np.nan, 2.0], 0.3)
         with pytest.raises(NonFiniteInput):
             estimate_full([1.0, np.inf], 0.3)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteInput):
+                estimate_ols([1.0, bad, 2.0])
 
     def test_constant_sample_routes_to_proxy(self):
         res = estimate_full([3.0, 3.0, 3.0, 3.0], 0.2)

@@ -131,6 +131,12 @@ class TestEmpiricalMoments:
             empirical_moments([1.0], 0.0, 1.0, winsor_fraction=0.3)
         with pytest.raises(ValueError):
             empirical_moments([1.0], 0.0, 1.0, zero_floor=0.0)
+        for center, p in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                          (0.0, math.inf), (0.0, -math.inf)):
+            for winsor in (0.0, 0.1):
+                with pytest.raises(ValueError):
+                    empirical_moments([1.0, 2.0], center, p,
+                                      winsor_fraction=winsor)
 
     @pytest.mark.parametrize("bad, p", [(math.nan, 1.0), (math.inf, 1.5),
                                         (-math.inf, 0.7)])
@@ -201,6 +207,11 @@ class TestTheoreticalMoments:
             theoretical_moments(cauchy, 0.5)  # c2 always required
         # sub-unit orders stay finite: E|X|^q = 1/cos(pi q/2)
         assert abs_moment(cauchy, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_exponent_refused(self, p):
+        with pytest.raises(ValueError):
+            theoretical_moments(parse_spec("laplace"), p)
 
     def test_symmetric_families_have_exact_zero_signed_moment(self):
         for name in ("laplace", "gaussian", "uniform", "gg:4"):
