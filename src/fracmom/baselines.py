@@ -28,10 +28,11 @@ def median_rows(x: np.ndarray) -> np.ndarray:
     NaN median."""
     n = x.shape[-1]
     k = n // 2
-    # one kth, as in estimators._median: numpy's selection with more is
-    # several times slower at large N.  A NaN sorts above every number, so
-    # a row holding one has it at or after the kth, where the largest value
-    # of the upper part finds it.
+    # one kth: numpy's selection with more is several times slower at large
+    # N.  For even N the lower middle value is the largest of the k values
+    # below the kth, which is the (k - 1)-th order statistic bit for bit.  A
+    # NaN sorts above every number, so a row holding one has it at or after
+    # the kth, where the largest value of the upper part finds it.
     part = np.partition(x, k, axis=-1)
     if n % 2:
         mid = part[:, k] + 0.0
@@ -41,6 +42,23 @@ def median_rows(x: np.ndarray) -> np.ndarray:
     nan = np.isnan(np.maximum.reduce(part[:, k:], axis=-1))
     np.copyto(mid, np.nan, where=nan)
     return mid
+
+
+def mean_rows(x: np.ndarray) -> np.ndarray:
+    """np.mean along the last axis of an (M, N) array, by the same
+    arithmetic, except on a row of finite values whose sum overflows: that
+    row's mean is taken over the row divided by its largest magnitude, then
+    scaled back, so it stays inside the row's range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        mean = np.add.reduce(x, axis=-1) / x.shape[-1]
+    wide = ~np.isfinite(mean)
+    if wide.any():
+        wide &= np.isfinite(x).all(axis=-1)
+        xw = x[wide]
+        top = np.abs(xw).max(axis=-1, keepdims=True)
+        scaled = np.add.reduce(xw / top, axis=-1) / x.shape[-1] * top[:, 0]
+        mean[wide] = np.clip(scaled, xw.min(axis=-1), xw.max(axis=-1))
+    return mean
 
 
 def _cut(n: int, fraction: float, what: str) -> int:
@@ -179,7 +197,7 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
         if name in ("median", "trimmed10", "winsorized10") and s is None:
             s = np.sort(x, axis=-1)
         if name == "mean":
-            out[name] = np.mean(x, axis=-1)
+            out[name] = mean_rows(x)
         elif name == "median":
             out[name] = median_rows(s)
         elif name == "trimmed10":

@@ -158,8 +158,10 @@ class DistributionSpec:
             beta = self.shape[0]
             c = beta / (2.0 * s * special.gamma(1.0 / beta))
             # np.power, not **: a float's ** is libm's pow, which differs
-            # from the ufunc's in the last bit
-            return c * np.exp(-np.power(np.abs(x / s), beta))
+            # from the ufunc's in the last bit.  Far out it overflows to
+            # inf, and exp(-inf) = 0 is the density there.
+            with np.errstate(over="ignore"):
+                return c * np.exp(-np.power(np.abs(x / s), beta))
         if self.family == "triangular":
             return np.maximum(s - np.abs(x), 0.0) / (s * s)
         if self.family == "cauchy":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .baselines import mean_rows, median_rows
 from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 # build_correlant_system and empirical_moments are no longer called here;
 # perfbench/tracer.py binds them through this module
@@ -87,24 +88,10 @@ class EstimateRows:
 _RESULT_FIELDS = tuple(f.name for f in fields(EstimateResult))
 
 
-def _median(x: np.ndarray) -> np.ndarray:
-    """np.median along the last axis of rows without NaN, by the same
-    arithmetic, except that a -0.0 median may stay -0.0."""
-    n = x.shape[-1]
-    k = n // 2
-    # one kth: numpy's selection with two is several times slower at large
-    # N.  For even N the lower middle value is the largest of the k values
-    # below the kth, which is the (k - 1)-th order statistic bit for bit.
-    part = np.partition(x, k, axis=-1)
-    if n % 2:
-        return part[..., k]
-    return (np.maximum.reduce(part[..., :k], axis=-1) + part[..., k]) / 2.0
-
-
 def _robust_scale(x: np.ndarray, med: np.ndarray) -> np.ndarray:
     # MAD along the last axis about its median med, 1 where it is 0
     dev = x - med[..., None]
-    mad = _median(np.abs(dev, out=dev))
+    mad = median_rows(np.abs(dev, out=dev))
     return np.where(mad > 0.0, mad, 1.0)[()]
 
 
@@ -140,17 +127,16 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
 
     Reductions run along the rows, and every early exit or fallback is a
     per-row mask, so row r's result is estimate_full(samples[r], a) bit for
-    bit whatever the other rows hold.  Rows routed to the proxy go through
-    estimate_proxy_rows together.  What does not depend on alpha (the input
-    checks, and every row's mean, robust scale, zero floor and step bound)
-    is computed once for the whole grid; only the outer passes run at each
-    alpha.
+    bit whatever the other rows hold.  Rows routed to the proxy, including
+    those whose zero floor underflows to 0, go through estimate_proxy_rows
+    together.  What does not depend on alpha (the input checks, and every
+    row's mean, robust scale, zero floor and step bound) is computed once for
+    the whole grid; only the outer passes run at each alpha.
     """
     x, finite = sample_rows(samples)
-    rows, n = x.shape
+    rows = x.shape[0]
     grid = [alpha_value(a) for a in alphas]
-    with np.errstate(invalid="ignore"):  # inf - inf in a refused row
-        mean = np.add.reduce(x, axis=-1) / n  # np.mean(x[r])'s arithmetic
+    mean = mean_rows(x)
     start = None  # set up once an alpha outside the band needs it
     out = []
     for a in grid:
@@ -171,13 +157,14 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
 
 
 def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
-    """The alpha-free start of the outer passes, (live, low_floor, state):
-    live indexes the rows that take the passes, low_floor lists the finite
-    rows refused for a zero floor that is not positive, and state holds the
-    live rows' x, mean, zero floor (as a column) and step bounds."""
+    """The alpha-free start of the outer passes, (going, proxied, mean,
+    floor, lo, hi): going marks the rows that take the passes, proxied the
+    finite rows whose zero floor is not positive, which go to the proxy
+    without a pass, and floor (a column), lo and hi hold every row's zero
+    floor and step bounds."""
     rows, n = x.shape
     with np.errstate(all="ignore"):  # failed rows compute on garbage
-        scale = _robust_scale(x, _median(x))
+        scale = _robust_scale(x, median_rows(x))
         floor = np.maximum(1e-12 * scale, _tie_smoothing(x, mean[:, None], scale))
         if n > 1:  # np.std(x, ddof=1) by the same arithmetic
             dev = x - mean[:, None]
@@ -191,35 +178,35 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
                 q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
                 sd[wide] = (q75 - q25) / 1.349
         clip = STEP_CLIP_SD * sd
-        ok = finite & (floor > 0.0)
-    live = np.flatnonzero(ok)
-    state = (x, mean, floor[:, None], -clip, clip)
-    if live.size == rows:
-        return live, [], state
-    return (live, np.flatnonzero(finite & ~ok).tolist(),
-            tuple(v[live] for v in state))
+    going = finite & (floor > 0.0)
+    return going, finite & ~going, mean, floor[:, None], -clip, clip
 
 
 def _full_passes(x: np.ndarray, a: float, start, errors: dict,
                  ) -> EstimateRows:
     """The outer passes of estimate_full_grid at one alpha outside the band,
-    from _full_start's start; errors holds the rows refused so far."""
-    live, low_floor, (xs, xbar, fl, lo, hi) = start
+    from _full_start's start; errors holds the rows refused so far.
+
+    Every row takes every pass, and masks say which results count: going
+    marks the rows still iterating, and a row's results are written at the
+    pass where it stops, because its step is done or could not be taken, or
+    at the last pass.  A row that could not step fails with NonFiniteMoment
+    if its moments are not finite, and otherwise joins proxied, whose rows
+    go through estimate_proxy_rows together at the end.
+    """
+    # start's masks serve every alpha of a grid, so they are replaced here,
+    # never updated in place
+    going, proxied, xbar, fl, lo, hi = start
     rows = x.shape[0]
     p = second_exponent(a)
     theta, final_step, cond, det = np.full((4, rows), math.nan)
     out = EstimateRows(theta, np.full(rows, METHOD_FULL, dtype=object),
                        np.zeros(rows, dtype=int), final_step, cond, det,
                        np.zeros(rows, dtype=bool), errors)
-    for r in low_floor:
-        errors[r] = ValueError("zero_floor must be > 0")
-    proxied = []
-    # live indexes the rows still iterating; xs, xbar, mu, fl, lo and hi
-    # hold their x, mean, centre, zero floor (as a column) and step bounds
     mu = xbar
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for it in range(1, MAX_OUTER_ITERS + 1):
-            m = moment_rows(xs, mu[:, None], p, zero_floor=fl)
+            m = moment_rows(x, mu[:, None], p, zero_floor=fl)
             sys = system_rows(m)
             _, nu_pm1, _, _, sigma_p = m.values
             # the weighted score z and minus its slope in mu
@@ -231,35 +218,27 @@ def _full_passes(x: np.ndarray, a: float, start, errors: dict,
             usable = m.finite()
             stepped = (usable & ~sys.singular & np.isfinite(descent)
                        & (descent != 0.0))
-            last = it == MAX_OUTER_ITERS
-            if not last:
-                keep = stepped & ~done
-                if keep.all():
-                    continue
-            # record the rows that stop here
-            final = stepped if last else stepped & ~keep
-            if final.all():
-                r, final = live, slice(None)
-            else:
-                r = live[final]
-                for i in live[~usable]:
-                    errors[int(i)] = NonFiniteMoment(
-                        "moment set contains non-finite entries")
-                proxied.extend(live[usable & ~stepped])
-            theta[r] = mu[final]
-            out.outer_iters[r] = it
-            final_step[r] = step[final]
-            cond[r] = sys.cond()[final]
-            det[r] = sys.det[final]
-            out.converged[r] = done[final]
-            if last or not keep.any():
+            stop = (going if it == MAX_OUTER_ITERS
+                    else going & (done | ~stepped))
+            if not stop.any():
+                continue
+            failed = stop & ~stepped
+            for r in np.flatnonzero(failed & ~usable):
+                errors[int(r)] = NonFiniteMoment(
+                    "moment set contains non-finite entries")
+            proxied = proxied | (failed & usable)
+            # the rows whose full route ends here
+            end = stop & stepped
+            for field, value in ((theta, mu), (out.outer_iters, it),
+                                 (final_step, step), (cond, sys.cond()),
+                                 (det, sys.det), (out.converged, done)):
+                np.copyto(field, value, where=end)
+            going = going & ~stop
+            if not going.any():
                 break
-            live = live[keep]
-            xs, xbar, mu, fl, lo, hi = (v[keep]
-                                        for v in (xs, xbar, mu, fl, lo, hi))
 
-    if proxied:
-        idx = np.array(proxied)
+    if proxied.any():
+        idx = np.flatnonzero(proxied)
         prox = estimate_proxy_rows(x[idx], a)
         for name in _RESULT_FIELDS:
             getattr(out, name)[idx] = getattr(prox, name)
@@ -291,7 +270,7 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
     p = second_exponent(a)
     errors = non_finite_errors(finite)
     with np.errstate(all="ignore"):  # failed rows compute on garbage
-        med = _median(x) + 0.0  # np.median's +0.0 for a -0.0 median
+        med = median_rows(x)
         out = EstimateRows(med, np.full(rows, METHOD_PROXY, dtype=object),
                            np.zeros(rows, dtype=int), np.zeros(rows),
                            np.full(rows, math.nan), np.full(rows, math.nan),

@@ -204,21 +204,17 @@ def abs_moment(spec: DistributionSpec, q: float) -> float:
     if fam == "triangular":
         return 2.0 * s**q / ((q + 1.0) * (q + 2.0))
     # beta law: no convenient closed form for fractional orders
-    a, b = spec.shape
-    mu = a / (a + b)
-    c = 0.0 if spec.standardized else mu
-    return quadrature_moment(spec.density, q, spec.support, center=c,
-                             check_density=False)
+    return quadrature_moment(spec.density, q, spec.support,
+                             center=spec.true_location, check_density=False)
 
 
 def signed_moment(spec: DistributionSpec, q: float) -> float:
     """E[sign(X - mu) |X - mu|^q]; exactly zero for symmetric families."""
     if spec.symmetric:
         return 0.0
-    a, b = spec.shape
-    c = 0.0 if spec.standardized else a / (a + b)
-    return quadrature_moment(spec.density, q, spec.support, center=c,
-                             signed=True, check_density=False)
+    return quadrature_moment(spec.density, q, spec.support,
+                             center=spec.true_location, signed=True,
+                             check_density=False)
 
 
 def theoretical_moments(spec: DistributionSpec, p: float) -> FractionalMomentSet:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .baselines import baseline_rows
+from .baselines import baseline_rows, mean_rows
 from .basis import alpha_value, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
@@ -126,7 +126,7 @@ def _draw_block(design: McDesign, task: tuple[int, int]):
     n = design.n_values[ni]
     samples = np.stack([sample(spec, n, [design.base_seed, di, ni, r])
                         for r in range(design.replicates)])
-    return spec, n, samples, np.mean(samples, axis=1)
+    return spec, n, samples, mean_rows(samples)
 
 
 def _mc_block(design: McDesign, g2_theo: dict,

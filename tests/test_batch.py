@@ -13,8 +13,8 @@ batched.  The golden digests pin the Monte Carlo CSVs of a small design;
 they were computed before the proxy and baseline cells were batched.  The
 golden bits pin a third seeded sample's plug-in curves, resamples included,
 and grid variances; they were computed before the alpha-free work was
-hoisted out of the alpha loops.  The two medians, which select with one kth,
-are checked bit for bit against np.median on rows up to 10^5 long.
+hoisted out of the alpha loops.  The one median, which selects with one kth,
+is checked bit for bit against np.median on rows up to 10^5 long.
 """
 
 import hashlib
@@ -53,7 +53,7 @@ from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, _median, estimate_full_grid, estimate_proxy_rows
+    _brent, estimate_full_grid, estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -134,6 +134,30 @@ def test_constant_row_routes_to_proxy():
     rows = estimate_full_grid(x, (0.3,))[0]
     assert rows.method.tolist() == ["proxy", "full"]
     assert rows.theta_hat[0] == 2.5
+
+
+def test_rows_stopping_at_different_passes_match_batch_of_one():
+    laplace = parse_spec("laplace")
+    x = np.stack([sample(laplace, 50, [1234, 0, 0, 57]),  # stops at pass 2
+                  sample(laplace, 50, [1234, 0, 0, 0]),  # takes 3 passes
+                  np.full(50, 2.5),  # constant: the proxy
+                  sample(laplace, 50, 3),
+                  1e-315 * sample(laplace, 50, 5)])  # zero floor: the proxy
+    x[3, 7] = math.nan
+    alphas = (0.3, 0.05, 0.95)
+    grid = estimate_full_grid(x, alphas)
+    rows = grid[0]
+    assert rows.method.tolist() == ["full", "full", "proxy", "full", "proxy"]
+    assert rows.outer_iters[:2].tolist() == [2, 3]
+    assert rows.converged[:2].tolist() == [True, False]
+    assert list(rows.errors) == [3]
+    for alpha, rows in zip(alphas, grid):
+        one = estimate_full_grid(x, (alpha,))[0]
+        for r in range(x.shape[0]):
+            assert _outcome(rows.result, r) == _outcome(one.result, r)
+            assert _outcome(rows.result, r) == _outcome(estimate_full, x[r],
+                                                        alpha)
+        assert list(rows.errors) == list(one.errors)
 
 
 def brentq_proxy(x, alpha) -> tuple[float, int]:
@@ -373,8 +397,6 @@ def _selection_rows(n, non_finite):
 @pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 2316, 100_000])
 def test_medians_are_np_median_bit_for_bit(n):
     with np.errstate(all="ignore"):
-        x = _selection_rows(n, non_finite=False)
-        assert _bits(_median(x) + 0.0) == _bits(np.median(x, axis=-1) + 0.0)
         x = _selection_rows(n, non_finite=True)
         assert _bits(median_rows(x)) == _bits(np.median(x, axis=-1) + 0.0)
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -15,10 +16,11 @@ from fracmom import (
     estimate_ols,
     estimate_proxy,
     parse_spec,
+    run_baseline,
     sample,
     second_exponent,
 )
-from fracmom.estimators import TOL
+from fracmom.estimators import TOL, estimate_full_grid
 
 ALPHAS = (0.05, 0.30, 0.70, 0.95)
 
@@ -40,6 +42,16 @@ class TestOls:
     def test_empty_sample(self):
         with pytest.raises(ValueError):
             estimate_ols([])
+
+    def test_mean_of_finite_values_near_the_float_limit(self):
+        # their sum overflows; the mean of a finite sample must not
+        x = [1e308, 1e308, 1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = (estimate_ols(x).theta_hat,
+                     estimate_full(x, 0.5).theta_hat, run_baseline("mean", x))
+        for m in means:
+            assert math.isfinite(m) and min(x) <= m <= max(x)
 
 
 class TestFullEstimator:
@@ -75,6 +87,19 @@ class TestFullEstimator:
         res = estimate_full([3.0, 3.0, 3.0, 3.0], 0.2)
         assert res.method == "proxy"
         assert res.theta_hat == 3.0
+
+    @pytest.mark.parametrize("scale", [1e-315, 1e-320])
+    @pytest.mark.parametrize("alpha", [0.05, 0.95])
+    def test_zero_floor_routes_to_proxy(self, scale, alpha):
+        # 1e-12 * MAD underflows to a zero floor on these subnormal samples
+        x = scale * sample(parse_spec("laplace"), 50, 1)
+        res = estimate_full(x, alpha)
+        assert res.method == "proxy"
+        assert x.min() <= res.theta_hat <= x.max()
+        rows = estimate_full_grid(
+            np.stack([sample(parse_spec("laplace"), 50, 2), x]), (alpha,))[0]
+        assert list(map(repr, vars(rows.result(1)).values())) == \
+            list(map(repr, vars(res).values()))
 
     def test_translation_equivariance(self):
         x = sample(parse_spec("laplace"), 200, 8)
