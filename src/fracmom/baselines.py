@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import sample_row, sample_rows
+from .errors import row_blocks, sample_row, sample_rows
 
 BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
@@ -176,41 +176,41 @@ def median_of_means(sample, blocks: int | None = None) -> float:
 def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     """The baselines in ``names``, with their standard settings, on every
     row of an (M, N) matrix: name -> (M,) estimates.  median, trimmed10 and
-    winsorized10 share one sort of the rows.  A row holding NaN or inf gets
-    NaN from every baseline."""
+    winsorized10 share one sort of the rows.  The rows run block by block
+    (row_blocks).  A row holding NaN or inf gets NaN from every baseline."""
     x, finite = sample_rows(samples)
     unknown = [name for name in names if name not in BASELINE_IDS]
     if unknown:
         raise ValueError(f"unknown baseline {unknown[0]!r}")
-    bad = ~finite
-    if bad.any():
-        # zeros in place of the non-finite rows leave every other row's
-        # estimates as they are; those rows are set to NaN at the end
-        x = np.where(bad[:, None], 0.0, x)
-    out = {}
-    s = None
     # in BASELINE_IDS order, so winsorized10 overwrites the sorted rows
     # after median and trimmed10 have read them
-    for name in BASELINE_IDS:
-        if name not in names:
-            continue
-        if name in ("median", "trimmed10", "winsorized10") and s is None:
-            s = np.sort(x, axis=-1)
-        if name == "mean":
-            out[name] = mean_rows(x)
-        elif name == "median":
-            out[name] = median_rows(s)
-        elif name == "trimmed10":
-            out[name] = _trimmed_rows(s, 0.1)
-        elif name == "winsorized10":
-            out[name] = _winsorized_rows(s, 0.1)
-        elif name == "huber":
-            out[name] = huber_rows(x)
-        else:
-            out[name] = median_of_means_rows(x)
-    if bad.any():
+    out = {name: np.empty(x.shape[0]) for name in BASELINE_IDS
+           if name in names}
+    for b in row_blocks(*x.shape):
+        xb, bad = x[b], ~finite[b]
+        if bad.any():
+            # zeros in place of the non-finite rows leave every other row's
+            # estimates as they are; those rows are set to NaN at the end
+            xb = np.where(bad[:, None], 0.0, xb)
+        s = None
+        for name, est in out.items():
+            if name in ("median", "trimmed10", "winsorized10") and s is None:
+                s = np.sort(xb, axis=-1)
+            if name == "mean":
+                est[b] = mean_rows(xb)
+            elif name == "median":
+                est[b] = median_rows(s)
+            elif name == "trimmed10":
+                est[b] = _trimmed_rows(s, 0.1)
+            elif name == "winsorized10":
+                est[b] = _winsorized_rows(s, 0.1)
+            elif name == "huber":
+                est[b] = huber_rows(xb)
+            else:
+                est[b] = median_of_means_rows(xb)
+    if not finite.all():
         for est in out.values():
-            est[bad] = np.nan
+            est[~finite] = np.nan
     return out
 
 

@@ -20,7 +20,7 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
     g2_with_flag  # noqa: F401
 from .errors import AllGridDegenerate, DegenerateSample, SmallSample, \
-    sample_row
+    row_blocks, sample_row
 from .estimators import estimate_full, estimate_full_grid  # noqa: F401
 from .moments import empirical_moments, moment_rows, \
     winsorize_rows  # noqa: F401
@@ -72,10 +72,20 @@ def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
     every grid alpha (axis 1), from the moments about 0."""
     values = np.empty((rows.shape[0], alphas.size))
     flags = np.empty(values.shape, dtype=bool)
-    for idx, a in enumerate(alphas):
-        m = moment_rows(rows, 0.0, second_exponent(a))
-        values[:, idx], flags[:, idx] = g2_rows(m)
+    exponents = [second_exponent(a) for a in alphas]
+    for b in row_blocks(*rows.shape):
+        for idx, p in enumerate(exponents):
+            m = moment_rows(rows[b], 0.0, p)
+            values[b, idx], flags[b, idx] = g2_rows(m)
     return values, flags
+
+
+def _draw(src: np.ndarray, out: np.ndarray, rng) -> np.ndarray:
+    """Fill out with resamples of src and return it: rng.choice(src,
+    size=out.shape) bit for bit, with the draws gathered straight into out
+    (take buffers out under mode "raise"; the indices are in range)."""
+    return np.take(src, rng.integers(0, src.size, size=out.shape,
+                                     dtype=np.int64), out=out, mode="clip")
 
 
 def _with_resamples(resid: np.ndarray, bootstrap_b: int,
@@ -84,8 +94,7 @@ def _with_resamples(resid: np.ndarray, bootstrap_b: int,
     own means, as the rows of one matrix."""
     rows = np.empty((bootstrap_b + 1, resid.size))
     rows[0] = resid
-    boots = rows[1:]
-    boots[...] = make_rng([seed, 2401]).choice(resid, size=boots.shape)
+    boots = _draw(resid, rows[1:], make_rng([seed, 2401]))
     # each mean by np.mean's arithmetic: one pairwise sum and a division
     boots -= (np.add.reduce(boots, axis=-1) / resid.size)[:, None]
     return rows
@@ -149,10 +158,7 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     x = sample_row(sample)[0]
-    # the matrix first, so that choice's temporaries are freed from the top
-    # of the heap
-    boots = np.empty((bootstrap_b, x.size))
-    boots[...] = make_rng([seed, 7919]).choice(x, size=boots.shape)
+    boots = _draw(x, np.empty((bootstrap_b, x.size)), make_rng([seed, 7919]))
     variances = np.empty(alphas.size)
     for idx, est in enumerate(estimate_full_grid(boots, alphas)):
         if est.errors:
@@ -176,11 +182,10 @@ def _epanechnikov_density(points: np.ndarray, data: np.ndarray,
                           h: float) -> np.ndarray:
     n = data.size
     out = np.empty(points.size)
-    chunk = max(1, 2_000_000 // n)
-    for i in range(0, points.size, chunk):
-        u = (points[i:i + chunk, None] - data[None, :]) / h
+    for b in row_blocks(points.size, n):
+        u = (points[b, None] - data[None, :]) / h
         k = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-        out[i:i + chunk] = k.sum(axis=1) / (n * h)
+        out[b] = k.sum(axis=1) / (n * h)
     return out
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of input
-samples that every estimator, baseline and calibrator makes."""
+"""Exception types shared across the package, the one check of input
+samples that every estimator, baseline and calibrator makes, and the row
+blocks their kernels run in."""
 
 import numpy as np
 
@@ -49,6 +50,8 @@ class QuadratureError(FracmomError):
 
 
 _NON_FINITE = "sample contains NaN or infinite values"
+# elements of one row block: a float64 temporary of a block takes 512 KiB
+BLOCK_ELEMENTS = 2**16
 
 
 def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +63,16 @@ def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     if x.shape[1] == 0:
         raise ValueError("empty sample")
     return x, np.isfinite(x).all(axis=1)
+
+
+def row_blocks(rows: int, n: int):
+    """Slices of at most max(1, BLOCK_ELEMENTS // n) rows that cover
+    range(rows) in order.  A row kernel on an (rows, n) matrix runs block by
+    block, so that its temporaries take a fixed budget whatever rows is;
+    every row's reductions stay the same, and so do its results."""
+    step = max(1, BLOCK_ELEMENTS // n)
+    for first in range(0, rows, step):
+        yield slice(first, min(first + step, rows))
 
 
 def sample_row(sample) -> np.ndarray:

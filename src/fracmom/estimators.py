@@ -19,7 +19,7 @@ from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 # perfbench/tracer.py binds them through this module
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
 from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
-    non_finite_errors, sample_rows
+    non_finite_errors, row_blocks, sample_rows
 from .moments import empirical_moments, moment_rows  # noqa: F401
 
 METHOD_FULL = "full"
@@ -129,16 +129,16 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
     per-row mask, so row r's result is estimate_full(samples[r], a) bit for
     bit whatever the other rows hold.  Rows routed to the proxy, including
     those whose zero floor underflows to 0, go through estimate_proxy_rows
-    together.  What does not depend on alpha (the input checks, and every
-    row's mean, robust scale, zero floor and step bound) is computed once for
-    the whole grid; only the outer passes run at each alpha.
+    together, block by block of rows (row_blocks).  What does not depend on
+    alpha (the input checks, and every row's mean, robust scale, zero floor
+    and step bound) is computed once per block for the whole grid; only the
+    outer passes run at each alpha.
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]
     grid = [alpha_value(a) for a in alphas]
     mean = mean_rows(x)
-    start = None  # set up once an alpha outside the band needs it
-    out = []
+    out, full = [], []
     for a in grid:
         errors = non_finite_errors(finite)
         if abs(a - 0.5) < ESTIMATOR_BAND:
@@ -150,9 +150,18 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
                 np.full(rows, math.nan), np.full(rows, math.nan),
                 np.ones(rows, dtype=bool), errors))
             continue
-        if start is None:
-            start = _full_start(x, finite, mean)
-        out.append(_full_passes(x, a, start, errors))
+        theta, final_step, cond, det = np.full((4, rows), math.nan)
+        out.append(EstimateRows(
+            theta, np.full(rows, METHOD_FULL, dtype=object),
+            np.zeros(rows, dtype=int), final_step, cond, det,
+            np.zeros(rows, dtype=bool), errors))
+        full.append((a, out[-1]))
+    if full:
+        for b in row_blocks(*x.shape):
+            start = _full_start(x[b], finite[b], mean[b])
+            for a, res in full:
+                fields = [getattr(res, name)[b] for name in _RESULT_FIELDS]
+                _full_passes(x[b], a, start, fields, res.errors, b.start)
     return out
 
 
@@ -182,10 +191,12 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
     return going, finite & ~going, mean, floor[:, None], -clip, clip
 
 
-def _full_passes(x: np.ndarray, a: float, start, errors: dict,
-                 ) -> EstimateRows:
+def _full_passes(x: np.ndarray, a: float, start, fields: list, errors: dict,
+                 first: int):
     """The outer passes of estimate_full_grid at one alpha outside the band,
-    from _full_start's start; errors holds the rows refused so far.
+    on the block of rows from row first on, from _full_start's start.  They
+    fill fields, the block's views of the result arrays in _RESULT_FIELDS
+    order, and errors, which holds the rows refused so far.
 
     Every row takes every pass, and masks say which results count: going
     marks the rows still iterating, and a row's results are written at the
@@ -197,12 +208,8 @@ def _full_passes(x: np.ndarray, a: float, start, errors: dict,
     # start's masks serve every alpha of a grid, so they are replaced here,
     # never updated in place
     going, proxied, xbar, fl, lo, hi = start
-    rows = x.shape[0]
     p = second_exponent(a)
-    theta, final_step, cond, det = np.full((4, rows), math.nan)
-    out = EstimateRows(theta, np.full(rows, METHOD_FULL, dtype=object),
-                       np.zeros(rows, dtype=int), final_step, cond, det,
-                       np.zeros(rows, dtype=bool), errors)
+    theta, _, iters, final_step, cond, det, converged = fields
     mu = xbar
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for it in range(1, MAX_OUTER_ITERS + 1):
@@ -224,14 +231,14 @@ def _full_passes(x: np.ndarray, a: float, start, errors: dict,
                 continue
             failed = stop & ~stepped
             for r in np.flatnonzero(failed & ~usable):
-                errors[int(r)] = NonFiniteMoment(
+                errors[first + int(r)] = NonFiniteMoment(
                     "moment set contains non-finite entries")
             proxied = proxied | (failed & usable)
             # the rows whose full route ends here
             end = stop & stepped
-            for field, value in ((theta, mu), (out.outer_iters, it),
+            for field, value in ((theta, mu), (iters, it),
                                  (final_step, step), (cond, sys.cond()),
-                                 (det, sys.det), (out.converged, done)):
+                                 (det, sys.det), (converged, done)):
                 np.copyto(field, value, where=end)
             going = going & ~stop
             if not going.any():
@@ -240,10 +247,10 @@ def _full_passes(x: np.ndarray, a: float, start, errors: dict,
     if proxied.any():
         idx = np.flatnonzero(proxied)
         prox = estimate_proxy_rows(x[idx], a)
-        for name in _RESULT_FIELDS:
-            getattr(out, name)[idx] = getattr(prox, name)
-        errors.update((int(idx[j]), exc) for j, exc in prox.errors.items())
-    return out
+        for field, name in zip(fields, _RESULT_FIELDS):
+            field[idx] = getattr(prox, name)
+        errors.update((first + int(idx[j]), exc)
+                      for j, exc in prox.errors.items())
 
 
 def estimate_proxy(sample, alpha) -> EstimateResult:
@@ -262,97 +269,112 @@ def estimate_proxy_rows(samples, alpha) -> EstimateRows:
     each row then runs its own Brent search (_brent) in lock-step with the
     others, so one score evaluation per step serves every row still
     searching.  Row r's result is estimate_proxy(samples[r], alpha) bit for
-    bit whatever the other rows hold.
+    bit whatever the other rows hold.  The rows run block by block
+    (row_blocks).
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]
     a = alpha_value(alpha)
-    p = second_exponent(a)
-    errors = non_finite_errors(finite)
+    out = EstimateRows(np.empty(rows),
+                       np.full(rows, METHOD_PROXY, dtype=object),
+                       np.zeros(rows, dtype=int), np.zeros(rows),
+                       np.full(rows, math.nan), np.full(rows, math.nan),
+                       np.ones(rows, dtype=bool), non_finite_errors(finite))
     with np.errstate(all="ignore"):  # failed rows compute on garbage
-        med = median_rows(x)
-        out = EstimateRows(med, np.full(rows, METHOD_PROXY, dtype=object),
-                           np.zeros(rows, dtype=int), np.zeros(rows),
-                           np.full(rows, math.nan), np.full(rows, math.nan),
-                           np.ones(rows, dtype=bool), errors)
-        # a constant row's root is its value, which the median already holds
-        live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
-        if live.size < rows:
-            if live.size == 0:
-                out.theta_hat[~finite] = math.nan
-                return out
-            x, med = x[live], med[live]
-        scale = _robust_scale(x, med)
-        # each row's tie smoothing, or None where no row uses one
-        eps = _tie_smoothing(x, med[:, None], scale)
-        if not (p < 1.0 and (eps > 0.0).any()):
-            eps = None
-        half = BRACKET_EXPANSION * np.maximum(scale,
-                                              1e-8 * (1.0 + np.abs(med)))
-        ends = np.empty((2, live.size))
-        np.subtract(med, half, out=ends[0])
-        np.add(med, half, out=ends[1])
-        # the residuals of every score evaluation go into views of one work
-        # array per call: a fresh array at every Brent step costs page faults
-        # at large N, and calls may run in threads, so it is not shared
-        buf = np.empty((2,) + x.shape)
-        scores = _proxy_scores(x, ends, a, eps, buf)
-        # score is strictly decreasing in mu, so a sign change must appear
-        # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
-        # are checked
-        searching = np.ones(live.size, dtype=bool)
-        for check in range(1, MAX_BRACKET_DOUBLINGS + 1):
-            wide = ~((scores[0] >= 0.0) & (0.0 >= scores[1]))
-            if not wide.any():
-                break
-            half[wide] *= 2.0
-            ends[:, wide] = med[wide] - half[wide], med[wide] + half[wide]
-            if check == MAX_BRACKET_DOUBLINGS:
-                for j in np.flatnonzero(wide):
-                    errors[int(live[j])] = BracketFailure(
-                        f"no sign change in [{ends[0, j]}, {ends[1, j]}] "
-                        f"for p={p}")
-                searching = ~wide
-                break
-            xw = x[wide]
-            scores[:, wide] = _proxy_scores(xw, ends[:, wide], a,
-                                            _take(eps, wide), buf[:, :len(xw)])
-
-        # the Brent searches of the bracketed rows in lock-step: every round
-        # sends each search the score of the point it yielded last (None
-        # starts it) and scores the next points of those still going in one
-        # call
-        lo, hi = ends.tolist()
-        s_lo, s_hi = scores.tolist()
-        searches = [(r, _brent(lo[j], hi[j], s_lo[j], s_hi[j]))
-                    for j, r in enumerate(live.tolist()) if searching[j]]
-        if len(searches) < live.size:
-            x, eps = x[searching], _take(eps, searching)
-        resid = buf[0, :len(x)]
-        sent = [None] * len(searches)
-        while searches:
-            going, points = [], []
-            for (r, search), score in zip(searches, sent):
-                try:
-                    points.append(search.send(score))
-                except StopIteration as stop:
-                    out.theta_hat[r], out.outer_iters[r] = stop.value
-                    going.append(False)
-                except FracmomError as exc:
-                    errors[r] = exc
-                    going.append(False)
-                else:
-                    going.append(True)
-            if not all(going):
-                searches = [sr for sr, g in zip(searches, going) if g]
-                if not searches:
-                    break
-                x, eps = x[going], _take(eps, going)
-                resid = resid[:len(x)]
-            sent = _proxy_scores(x, np.array(points), a, eps, resid).tolist()
-    for r in errors:
+        for b in row_blocks(*x.shape):
+            _proxy_block(x[b], finite[b], a, out.theta_hat[b],
+                         out.outer_iters[b], out.errors, b.start)
+    for r in out.errors:
         out.theta_hat[r] = math.nan
     return out
+
+
+def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
+                 theta: np.ndarray, iters: np.ndarray, errors: dict,
+                 first: int):
+    """estimate_proxy_rows on the block of rows x, which starts at row first:
+    fills the block's estimates theta and iteration counts iters, and
+    errors."""
+    p = second_exponent(a)
+    med = median_rows(x)
+    theta[:] = med
+    # a constant row's root is its value, which the median already holds
+    live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
+    if live.size < x.shape[0]:
+        if live.size == 0:
+            return
+        x, med = x[live], med[live]
+    scale = _robust_scale(x, med)
+    # each row's tie smoothing, or None where no row uses one
+    eps = _tie_smoothing(x, med[:, None], scale)
+    if not (p < 1.0 and (eps > 0.0).any()):
+        eps = None
+    half = BRACKET_EXPANSION * np.maximum(scale,
+                                          1e-8 * (1.0 + np.abs(med)))
+    ends = np.empty((2, live.size))
+    np.subtract(med, half, out=ends[0])
+    np.add(med, half, out=ends[1])
+    # the residuals of every score evaluation go into views of one work
+    # array per block, and so do the basis values of every Brent step, in
+    # the slab its residuals leave idle: a fresh array at every step costs
+    # page faults at large N, and calls may run in threads, so the array is
+    # not shared
+    work = np.empty((2,) + x.shape)
+    scores = _proxy_scores(x, ends, a, eps, work)
+    # score is strictly decreasing in mu, so a sign change must appear
+    # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
+    # are checked
+    searching = np.ones(live.size, dtype=bool)
+    for check in range(1, MAX_BRACKET_DOUBLINGS + 1):
+        wide = ~((scores[0] >= 0.0) & (0.0 >= scores[1]))
+        if not wide.any():
+            break
+        half[wide] *= 2.0
+        ends[:, wide] = med[wide] - half[wide], med[wide] + half[wide]
+        if check == MAX_BRACKET_DOUBLINGS:
+            for j in np.flatnonzero(wide):
+                errors[first + int(live[j])] = BracketFailure(
+                    f"no sign change in [{ends[0, j]}, {ends[1, j]}] "
+                    f"for p={p}")
+            searching = ~wide
+            break
+        xw = x[wide]
+        scores[:, wide] = _proxy_scores(xw, ends[:, wide], a,
+                                        _take(eps, wide), work[:, :len(xw)])
+
+    # the Brent searches of the bracketed rows in lock-step: every round
+    # sends each search the score of the point it yielded last (None
+    # starts it) and scores the next points of those still going in one
+    # call
+    lo, hi = ends.tolist()
+    s_lo, s_hi = scores.tolist()
+    searches = [(r, _brent(lo[j], hi[j], s_lo[j], s_hi[j]))
+                for j, r in enumerate(live.tolist()) if searching[j]]
+    if len(searches) < live.size:
+        x, eps = x[searching], _take(eps, searching)
+    resid, values = work[0, :len(x)], work[1, :len(x)]
+    sent = [None] * len(searches)
+    while searches:
+        going, points = [], []
+        for (r, search), score in zip(searches, sent):
+            try:
+                points.append(search.send(score))
+            except StopIteration as stop:
+                theta[r], iters[r] = stop.value
+                going.append(False)
+            except FracmomError as exc:
+                errors[first + r] = exc
+                going.append(False)
+            else:
+                going.append(True)
+        if not all(going):
+            searches = [sr for sr, g in zip(searches, going) if g]
+            if not searches:
+                break
+            x, eps = x[going], _take(eps, going)
+            resid, values = resid[:len(x)], values[:len(x)]
+        sent = _proxy_scores(x, np.array(points), a, eps, resid,
+                             values).tolist()
 
 
 def _take(eps, rows):
@@ -360,16 +382,19 @@ def _take(eps, rows):
 
 
 def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
-                  eps: np.ndarray | None, resid: np.ndarray) -> np.ndarray:
+                  eps: np.ndarray | None, resid: np.ndarray,
+                  values: np.ndarray | None = None) -> np.ndarray:
     """The proxy score sum_j basis_value(2, a, x[r, j] - mu[..., r], eps[r])
     of every row r of x, at the points mu holds for it along its last axis;
     eps None stands for 0 in every row.  The residuals are written into
-    resid, which has their shape, so that no step allocates them."""
+    resid, which has their shape, and the basis values into values, when
+    given, of the same shape but apart from resid, so that no step
+    allocates them."""
     xi = np.subtract(x, mu[..., None], resid)
-    v = basis_value(2, a, xi)
+    v = basis_value(2, a, xi, out=values)
     if eps is not None:
         for r in np.flatnonzero(eps > 0.0):
-            v[..., r, :] = basis_value(2, a, xi[..., r, :], eps[r])
+            basis_value(2, a, xi[..., r, :], eps[r], out=v[..., r, :])
     return np.add.reduce(v, axis=-1)
 
 

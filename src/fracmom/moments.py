@@ -15,7 +15,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import DistributionSpec
-from .errors import NonFiniteMoment, QuadratureError, sample_row
+from .errors import NonFiniteMoment, QuadratureError, row_blocks, \
+    sample_row
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -77,11 +78,14 @@ def winsorize_rows(xi: np.ndarray, fraction: float) -> np.ndarray:
     """Cap the absolute values of every row of the (M, N) array ``xi`` at
     their (1 - fraction) quantile, keeping each value's sign, in place, and
     return ``xi``.  The moments about 0 of the result are the winsorized
-    moments of the residuals ``xi``."""
-    a = np.abs(xi)
-    np.minimum(a, np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True),
-               out=a)
-    return np.copysign(a, xi, out=xi)
+    moments of the residuals ``xi``.  Runs block by block of rows."""
+    for b in row_blocks(*xi.shape):
+        block = xi[b]
+        a = np.abs(block)
+        np.minimum(a, np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True),
+                   out=a)
+        np.copysign(a, block, out=block)
+    return xi
 
 
 def moment_rows(x: np.ndarray, center, p: float,
