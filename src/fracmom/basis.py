@@ -70,41 +70,32 @@ def collision_roots(i: int, j: int) -> tuple[float, float]:
     return 0.5, neg
 
 
-def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
+def basis_value(i: int, alpha, xi, epsilon: float = 0.0):
     """Evaluate basis member i at residual xi (scalar or array).
 
     Odd in xi and exactly 0 at xi = 0.  ``epsilon > 0`` switches the
     sub-linear members to the smoothed form sign(xi) * (xi^2 + eps^2)^(p/2);
     smoothing is never applied to exponents >= 1 nor to the identity member.
-    ``out``, an array of xi's shape that shares no memory with it, receives
-    the values and is returned.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    x = np.asarray(xi, dtype=float)
     if i == 1 or float(alpha) == 0.5:
         # member 1 is the identity, and every member collapses to it at the
         # midpoint; return xi itself so the identity is exact, not 1-ulp off
-        v = x
+        return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
+    p = exponent(i, alpha)
+    x = np.asarray(xi, dtype=float)
+    if epsilon > 0.0 and p < 1.0:
+        out = np.sign(x) * np.power(x * x + epsilon**2, 0.5 * p)
+    elif p < 0.0:
+        # members i >= 6 have negative exponents near alpha ~ 0.15, where
+        # |0|**p is inf and sign(0) * inf would be NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(x == 0.0, 0.0, np.sign(x) * np.power(np.abs(x), p))
     else:
-        p = exponent(i, alpha)
-        if epsilon > 0.0 and p < 1.0:
-            v = np.sign(x) * np.power(x * x + epsilon**2, 0.5 * p)
-        elif p < 0.0:
-            # members i >= 6 have negative exponents near alpha ~ 0.15, where
-            # |0|**p is inf and sign(0) * inf would be NaN
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = np.where(x == 0.0, 0.0,
-                             np.sign(x) * np.power(np.abs(x), p))
-        else:
-            # at most one fresh array per call, not three: the proxy calls
-            # this once per score evaluation, and at large N fresh arrays
-            # cost page faults.  copysign reads the signs of x, so v must not
-            # be x
-            v = np.abs(x, out=np.empty_like(x) if out is None else out)
-            np.power(v, p, out=v)
-            np.copysign(v, x, out=v)
-    if out is not None and v is not out:
-        np.copyto(out, v)
-        v = out
-    return v if np.ndim(xi) else float(v)
+        # one fresh array per call, not three: the proxy calls this once per
+        # score evaluation, and at large N fresh arrays cost page faults
+        out = np.abs(x, out=np.empty_like(x))
+        np.power(out, p, out=out)
+        np.copysign(out, x, out=out)
+    return out if np.ndim(xi) else float(out)

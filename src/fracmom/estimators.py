@@ -315,10 +315,8 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
     np.subtract(med, half, out=ends[0])
     np.add(med, half, out=ends[1])
     # the residuals of every score evaluation go into views of one work
-    # array per block, and so do the basis values of every Brent step, in
-    # the slab its residuals leave idle: a fresh array at every step costs
-    # page faults at large N, and calls may run in threads, so the array is
-    # not shared
+    # array per block: a fresh array at every Brent step costs page faults
+    # at large N, and calls may run in threads, so it is not shared
     work = np.empty((2,) + x.shape)
     scores = _proxy_scores(x, ends, a, eps, work)
     # score is strictly decreasing in mu, so a sign change must appear
@@ -352,7 +350,7 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
                 for j, r in enumerate(live.tolist()) if searching[j]]
     if len(searches) < live.size:
         x, eps = x[searching], _take(eps, searching)
-    resid, values = work[0, :len(x)], work[1, :len(x)]
+    resid = work[0, :len(x)]
     sent = [None] * len(searches)
     while searches:
         going, points = [], []
@@ -372,9 +370,8 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
             if not searches:
                 break
             x, eps = x[going], _take(eps, going)
-            resid, values = resid[:len(x)], values[:len(x)]
-        sent = _proxy_scores(x, np.array(points), a, eps, resid,
-                             values).tolist()
+            resid = resid[:len(x)]
+        sent = _proxy_scores(x, np.array(points), a, eps, resid).tolist()
 
 
 def _take(eps, rows):
@@ -382,19 +379,16 @@ def _take(eps, rows):
 
 
 def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
-                  eps: np.ndarray | None, resid: np.ndarray,
-                  values: np.ndarray | None = None) -> np.ndarray:
+                  eps: np.ndarray | None, resid: np.ndarray) -> np.ndarray:
     """The proxy score sum_j basis_value(2, a, x[r, j] - mu[..., r], eps[r])
     of every row r of x, at the points mu holds for it along its last axis;
     eps None stands for 0 in every row.  The residuals are written into
-    resid, which has their shape, and the basis values into values, when
-    given, of the same shape but apart from resid, so that no step
-    allocates them."""
+    resid, which has their shape, so that no step allocates them."""
     xi = np.subtract(x, mu[..., None], resid)
-    v = basis_value(2, a, xi, out=values)
+    v = basis_value(2, a, xi)
     if eps is not None:
         for r in np.flatnonzero(eps > 0.0):
-            basis_value(2, a, xi[..., r, :], eps[r], out=v[..., r, :])
+            v[..., r, :] = basis_value(2, a, xi[..., r, :], eps[r])
     return np.add.reduce(v, axis=-1)
 
 
