@@ -74,8 +74,7 @@ def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
     flags = np.empty(values.shape, dtype=bool)
     exponents = [second_exponent(a) for a in alphas]
     for b in row_blocks(*rows.shape):
-        for idx, p in enumerate(exponents):
-            m = moment_rows(rows[b], 0.0, p)
+        for idx, m in enumerate(moment_rows(rows[b], 0.0, exponents)):
             values[b, idx], flags[b, idx] = g2_rows(m)
     return values, flags
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -76,9 +77,10 @@ class DistributionSpec:
 
     # -- scale bookkeeping ---------------------------------------------------
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        """Family scale parameter realizing the requested standardization."""
+        """Family scale parameter realizing the requested standardization,
+        computed once per instance."""
         if self.family == "gaussian":
             return 1.0
         if self.family == "laplace":
@@ -121,6 +123,14 @@ class DistributionSpec:
 
     # -- density -------------------------------------------------------------
 
+    @cached_property
+    def _beta_constants(self) -> tuple[float, float]:
+        """The beta law's (centring shift, log B(a, b)), computed once per
+        instance: the density adds the shift to x, and subtracts the log
+        normaliser, at every point."""
+        a, b = self.shape
+        return a / (a + b), float(special.betaln(a, b))
+
     @property
     def support(self) -> tuple[float, float]:
         if self.family in ("gaussian", "laplace", "gg", "cauchy"):
@@ -140,13 +150,21 @@ class DistributionSpec:
         A Python float, which is what quadrature passes, builds no array: the
         same numpy ufuncs run on the float, and a point outside the support
         gets 0.0, so it comes out as it would as an element of an array.
+        The beta law's float branch does its arithmetic on Python floats
+        around those ufuncs, which is the same IEEE arithmetic.
         """
         if not isinstance(x, float):
             x = np.asarray(x, dtype=float)
         if self.family == "beta":
             a, b = self.shape
-            y = x + a / (a + b) if self.standardized else x
-            log_norm = special.betaln(a, b)
+            shift, log_norm = self._beta_constants
+            y = x + shift if self.standardized else x
+            if isinstance(y, float):
+                if not 0.0 < y < 1.0:
+                    return 0.0
+                return float(np.exp((a - 1.0) * float(np.log(y))
+                                    + (b - 1.0) * float(np.log1p(-y))
+                                    - log_norm))
             return _on_support(y, (y > 0.0) & (y < 1.0), lambda v: np.exp(
                 (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_norm))
         s = self.scale

@@ -8,6 +8,7 @@ loses rank, so sweeps carry an exclusion band around that point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,13 +186,19 @@ class G2Curve:
 
 
 def alpha_grid(grid_step: float, band: float) -> np.ndarray:
-    """Regular grid on [0, 1] with |alpha - 1/2| < band removed."""
+    """Regular grid on [0, 1] with |alpha - 1/2| < band removed.  Raises
+    ValueError for a band that is not finite, is negative, or leaves no
+    grid point; band 0 keeps alpha = 1/2."""
     if not 0.0 < grid_step <= 0.25:
         raise ValueError("grid_step must lie in (0, 0.25]")
     n = int(round(1.0 / grid_step))
     grid = np.round(np.arange(n + 1) * grid_step, 12)
     grid = grid[grid <= 1.0 + 1e-12]
-    return grid[np.abs(grid - 0.5) >= band - 1e-12]
+    grid = grid[np.abs(grid - 0.5) >= band - 1e-12]
+    if not (0.0 <= band < math.inf and grid.size):  # False for NaN
+        raise ValueError(f"band must be finite, >= 0 and leave a point of "
+                         f"the alpha grid, got {band}")
+    return grid
 
 
 def g2_sweep(spec: DistributionSpec, grid_step: float = 0.05,

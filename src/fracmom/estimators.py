@@ -131,14 +131,16 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
     those whose zero floor underflows to 0, go through estimate_proxy_rows
     together, block by block of rows (row_blocks).  What does not depend on
     alpha (the input checks, and every row's mean, robust scale, zero floor
-    and step bound) is computed once per block for the whole grid; only the
-    outer passes run at each alpha.
+    and step bound) is computed once per block for the whole grid, and so
+    are the residuals of the first pass, which starts every alpha at the
+    row mean: one moment_rows call gives that pass's moments at every
+    exponent.  Only the outer passes run at each alpha.
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]
     grid = [alpha_value(a) for a in alphas]
     mean = mean_rows(x)
-    out, full = [], []
+    out, full, ps = [], [], []
     for a in grid:
         errors = non_finite_errors(finite)
         if abs(a - 0.5) < ESTIMATOR_BAND:
@@ -156,27 +158,32 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
             np.zeros(rows, dtype=int), final_step, cond, det,
             np.zeros(rows, dtype=bool), errors))
         full.append((a, out[-1]))
+        ps.append(second_exponent(a))
     if full:
         for b in row_blocks(*x.shape):
-            start = _full_start(x[b], finite[b], mean[b])
-            for a, res in full:
+            start, firsts = _full_start(x[b], finite[b], mean[b], ps)
+            for (a, res), m in zip(full, firsts):
                 fields = [getattr(res, name)[b] for name in _RESULT_FIELDS]
-                _full_passes(x[b], a, start, fields, res.errors, b.start)
+                _full_passes(x[b], a, start, m, fields, res.errors, b.start)
     return out
 
 
-def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
+def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray, ps):
     """The alpha-free start of the outer passes, (going, proxied, mean,
     floor, lo, hi): going marks the rows that take the passes, proxied the
     finite rows whose zero floor is not positive, which go to the proxy
     without a pass, and floor (a column), lo and hi hold every row's zero
-    floor and step bounds."""
+    floor and step bounds.  Returned with the first pass's moment rows
+    about the mean at every exponent in ps."""
     rows, n = x.shape
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         scale = _robust_scale(x, median_rows(x))
-        floor = np.maximum(1e-12 * scale, _tie_smoothing(x, mean[:, None], scale))
+        center = mean[:, None]
+        floor = np.maximum(1e-12 * scale, _tie_smoothing(x, center, scale))
+        fl = floor[:, None]
+        firsts = moment_rows(x, center, ps, zero_floor=fl)
         if n > 1:  # np.std(x, ddof=1) by the same arithmetic
-            dev = x - mean[:, None]
+            dev = x - center
             sd = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev),
                                        axis=-1) / (n - 1))
         else:
@@ -188,15 +195,16 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray):
                 sd[wide] = (q75 - q25) / 1.349
         clip = STEP_CLIP_SD * sd
     going = finite & (floor > 0.0)
-    return going, finite & ~going, mean, floor[:, None], -clip, clip
+    return (going, finite & ~going, mean, fl, -clip, clip), firsts
 
 
-def _full_passes(x: np.ndarray, a: float, start, fields: list, errors: dict,
-                 first: int):
+def _full_passes(x: np.ndarray, a: float, start, m, fields: list,
+                 errors: dict, first: int):
     """The outer passes of estimate_full_grid at one alpha outside the band,
-    on the block of rows from row first on, from _full_start's start.  They
-    fill fields, the block's views of the result arrays in _RESULT_FIELDS
-    order, and errors, which holds the rows refused so far.
+    on the block of rows from row first on, from _full_start's start and
+    the first pass's moment rows m.  They fill fields, the block's views of
+    the result arrays in _RESULT_FIELDS order, and errors, which holds the
+    rows refused so far.
 
     Every row takes every pass, and masks say which results count: going
     marks the rows still iterating, and a row's results are written at the
@@ -208,12 +216,13 @@ def _full_passes(x: np.ndarray, a: float, start, fields: list, errors: dict,
     # start's masks serve every alpha of a grid, so they are replaced here,
     # never updated in place
     going, proxied, xbar, fl, lo, hi = start
-    p = second_exponent(a)
+    p = m.p
     theta, _, iters, final_step, cond, det, converged = fields
     mu = xbar
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for it in range(1, MAX_OUTER_ITERS + 1):
-            m = moment_rows(x, mu[:, None], p, zero_floor=fl)
+            if it > 1:
+                m = moment_rows(x, mu[:, None], (p,), zero_floor=fl)[0]
             sys = system_rows(m)
             _, nu_pm1, _, _, sigma_p = m.values
             # the weighted score z and minus its slope in mu

@@ -88,29 +88,37 @@ def winsorize_rows(xi: np.ndarray, fraction: float) -> np.ndarray:
     return xi
 
 
-def moment_rows(x: np.ndarray, center, p: float,
-                zero_floor=1e-12) -> MomentRows:
+def moment_rows(x: np.ndarray, center, ps,
+                zero_floor=1e-12) -> list[MomentRows]:
     """Plug-in moment sets of the residuals of every row of the (M, N) array
-    ``x``.  ``center`` and ``zero_floor`` are scalars or (M, 1) columns;
-    the arguments are those of empirical_moments, unchecked."""
+    ``x``, one MomentRows per exponent in the sequence ``ps``, in order.
+    ``center`` and ``zero_floor`` are scalars or (M, 1) columns; the
+    arguments are those of empirical_moments, unchecked.  The residuals,
+    their absolute values and signs and c2 are computed once per call; only
+    the four sums that depend on p are computed at each exponent."""
     # three (M, N) arrays, reused through out=: fresh ones per power would
     # cost page faults at large N
     xi = x - center
     a = np.abs(xi)
     work = np.multiply(a, a)
-    sums = [np.add.reduce(work, axis=-1)]
-    for q in (p - 1.0, p + 1.0, 2.0 * p):
-        if q < 0.0:  # |residual| is clamped only under negative exponents
-            np.power(np.maximum(a, zero_floor, out=work), q, out=work)
-        else:
-            np.power(a, q, out=work)
+    c2 = np.add.reduce(work, axis=-1)
+    sign = np.sign(xi, out=xi)
+    out = []
+    for p in ps:
+        sums = [c2]
+        for q in (p - 1.0, p + 1.0, 2.0 * p):
+            if q < 0.0:  # |residual| is clamped only under negative exponents
+                np.power(np.maximum(a, zero_floor, out=work), q, out=work)
+            else:
+                np.power(a, q, out=work)
+            sums.append(np.add.reduce(work, axis=-1))
+        np.power(a, p, out=work)
+        work *= sign
         sums.append(np.add.reduce(work, axis=-1))
-    signed = np.sign(xi, out=xi)
-    signed *= np.power(a, p, out=work)
-    sums.append(np.add.reduce(signed, axis=-1))
-    # np.mean's arithmetic, one pairwise sum per row and a division, without
-    # its per-call overhead
-    return MomentRows(p, np.array(sums) / x.shape[-1])
+        # np.mean's arithmetic, one pairwise sum per row and a division,
+        # without its per-call overhead
+        out.append(MomentRows(p, np.array(sums) / x.shape[-1]))
+    return out
 
 
 def empirical_moments(sample, center: float, p: float,
@@ -134,7 +142,7 @@ def empirical_moments(sample, center: float, p: float,
         raise ValueError(f"center must be finite, got {center}")
     if winsor_fraction > 0.0:
         x, center = winsorize_rows(x - center, winsor_fraction), 0.0
-    return moment_rows(x, center, p, zero_floor).row(0)
+    return moment_rows(x, center, (p,), zero_floor)[0].row(0)
 
 
 # ---------------------------------------------------------------------------

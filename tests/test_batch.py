@@ -160,6 +160,38 @@ def test_rows_stopping_at_different_passes_match_batch_of_one():
         assert list(rows.errors) == list(one.errors)
 
 
+def test_shared_first_pass_maps_each_alpha_to_its_exponent():
+    # the first pass of every alpha outside the band is computed in one
+    # moment_rows call; an unsorted grid with a repeat and in-band alphas
+    # between the others must still give each alpha its own result
+    laplace = parse_spec("laplace")
+    base = sample(laplace, 50, 11)
+    x = np.stack([base,  # the full route
+                  np.concatenate([-base[:25], base[:25]]),  # stops at pass 1
+                  sample(laplace, 50, [1234, 0, 0, 0]),  # takes 3 passes
+                  np.full(50, 2.5),  # constant: the proxy at pass 1
+                  sample(laplace, 50, 3),
+                  1e-315 * sample(laplace, 50, 5)])  # zero floor: the proxy
+    x[4, 7] = math.nan
+    alphas = (0.95, 0.5, 0.05, 0.495, 0.3, 0.05, 1.0, 0.0)
+    grid = estimate_full_grid(x, alphas)
+    assert len(grid) == len(alphas)
+    for alpha, rows in zip(alphas, grid):
+        one = estimate_full_grid(x, (alpha,))[0]
+        for r in range(x.shape[0]):
+            assert _outcome(rows.result, r) == _outcome(one.result, r)
+        assert list(rows.errors) == list(one.errors) == [4]
+        for name in ("theta_hat", "method", "outer_iters", "final_step",
+                     "cond_last", "det_last", "converged"):
+            assert _bits(getattr(rows, name).tolist()) == \
+                _bits(getattr(one, name).tolist()), (alpha, name)
+        if abs(alpha - 0.5) >= 0.01:
+            assert rows.method[[1, 3, 5]].tolist() == ["full", "proxy",
+                                                       "proxy"]
+            assert rows.outer_iters[1] == 1 and rows.converged[1]
+    assert grid[2].theta_hat.tolist() != grid[4].theta_hat.tolist()
+
+
 def brentq_proxy(x, alpha) -> tuple[float, int]:
     """estimate_proxy's (root, iterations) as the per-row proxy computed
     them: a score closure over the sample, bracketed, then handed to

@@ -9,6 +9,7 @@ from fracmom import (
     NonFiniteInput,
     NonFiniteMoment,
     SmallSample,
+    alpha_grid,
     calibrate_grid_mc,
     calibrate_oracle,
     calibrate_plugin,
@@ -17,6 +18,9 @@ from fracmom import (
     sample,
     topographic_coords,
 )
+
+
+BAND_REFUSED = "band must be finite, >= 0 and leave a point of the alpha grid"
 
 
 def _with_non_finite(n: int, value: float) -> np.ndarray:
@@ -85,6 +89,16 @@ class TestSampleShape:
     def test_entropy_diagnostic(self):
         x = sample(parse_spec("laplace"), 200, 5)
         assert entropy_diagnostic(x.reshape(2, -1)) == entropy_diagnostic(x)
+
+
+@pytest.mark.parametrize("band", [0.6, math.nan, -0.1])
+def test_band_that_leaves_no_grid_is_refused(band):
+    x = sample(parse_spec("laplace"), 100, 5)
+    for call in (lambda: calibrate_oracle(parse_spec("beta:2:5"), 0.05, band),
+                 lambda: calibrate_plugin(x, 0.05, band, bootstrap_b=10),
+                 lambda: calibrate_grid_mc(x, alpha_grid(0.05, band))):
+        with pytest.raises(ValueError, match=BAND_REFUSED):
+            call()
 
 
 class TestOracleCalibration:

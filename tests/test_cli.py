@@ -46,6 +46,14 @@ class TestSweepCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("band", ["0.6", "nan", "-0.1"])
+    def test_band_that_leaves_no_grid_is_runtime_error(self, capsys, band):
+        assert cli_main(["sweep", "--dist", "laplace", "--band", band]) == 2
+        assert capsys.readouterr().err == (
+            "error: band must be finite, >= 0 and leave a point of the alpha "
+            f"grid, got {float(band)}\n")
+
+
 class TestEstimateCommand:
     def test_degenerate_alpha_records_fallback(self, data_file, capsys):
         assert cli_main(["estimate", "--data", str(data_file),
@@ -243,6 +251,16 @@ class TestCalibrateCommand:
         assert cli_main(["calibrate", "--data", str(data_file), "--criterion",
                          "grid", "--bootstrap", "30"]) == 2
         assert "bootstrap_b must be >= 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("criterion", ["oracle", "plugin", "grid"])
+    def test_band_that_leaves_no_grid_is_runtime_error(self, data_file,
+                                                       capsys, criterion):
+        assert cli_main(["calibrate", "--dist", "laplace", "--data",
+                         str(data_file), "--criterion", criterion,
+                         "--band", "0.6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: band must be finite, >= 0 and leave a point of the alpha "
+            "grid, got 0.6\n")
 
     @pytest.mark.parametrize("count", ["-1", "-5"])
     def test_plugin_refuses_negative_bootstrap(self, data_file, capsys,

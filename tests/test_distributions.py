@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +78,34 @@ class TestSpec:
     def test_cauchy_variance_refused(self):
         with pytest.raises(NonFiniteMoment):
             parse_spec("cauchy").variance
+
+    @pytest.mark.parametrize("name", ["gg:1.5", "beta:2:5", "laplace"])
+    def test_spec_with_cached_constants_is_a_plain_value(self, name):
+        spec, fresh = parse_spec(name), parse_spec(name)
+        spec.scale, spec.density(0.1)  # caches the constants
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert repr(twin) == repr(fresh)
+            assert twin.scale == fresh.scale
+            assert twin.density(0.1) == fresh.density(0.1)
+
+    @pytest.mark.parametrize("name", ["gg:1.5", "beta:2:5", "laplace"])
+    def test_replaced_spec_gets_its_own_constants(self, name):
+        spec = parse_spec(name)
+        spec.scale, spec.density(0.1)  # caches the constants
+        raw = dataclasses.replace(spec, standardized=False)
+        fresh = parse_spec(name, standardized=False)
+        assert raw == fresh and raw != spec
+        assert raw.scale == fresh.scale
+        assert raw.support == fresh.support
+        for x in (-0.3, 0.1, 0.5, 0.9):
+            assert raw.density(x) == fresh.density(x)
+        if name != "beta:2:5":  # beta's scale is its support either way
+            assert raw.scale != spec.scale
+        else:
+            assert raw.density(0.1) != spec.density(0.1)
 
 
 class TestSampling:

@@ -25,6 +25,7 @@ from fracmom import (
 from fracmom.efficiency import g2_rows
 
 LAPLACE_RAW = parse_spec("laplace", standardized=False)
+BAND_REFUSED = "band must be finite, >= 0 and leave a point of the alpha grid"
 
 
 def g2_symmetric_power_endpoint(c2: float, nu1: float, nu3: float,
@@ -232,3 +233,14 @@ class TestSweep:
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
             alpha_grid(0.3, 0.05)
+
+    @pytest.mark.parametrize("band", [0.6, 0.5 + 1e-9, math.nan, math.inf,
+                                      -0.1, -math.inf])
+    def test_band_that_leaves_no_grid_is_refused(self, band):
+        for call in (lambda: alpha_grid(0.05, band),
+                     lambda: g2_sweep(parse_spec("laplace"), 0.05, band)):
+            with pytest.raises(ValueError, match=BAND_REFUSED):
+                call()
+
+    def test_widest_band_keeps_the_grid_ends(self):
+        assert alpha_grid(0.05, 0.5).tolist() == [0.0, 1.0]

@@ -59,6 +59,92 @@ def residual_rows(draw):
     return np.stack(rows)
 
 
+def reference_moment_rows(x, center, p, zero_floor=1e-12):
+    """moment_rows at the one exponent p, as it was before it took a
+    sequence of exponents: the residuals, |residuals|, signs and c2 are
+    recomputed at every exponent."""
+    xi = x - center
+    a = np.abs(xi)
+    work = np.multiply(a, a)
+    sums = [np.add.reduce(work, axis=-1)]
+    for q in (p - 1.0, p + 1.0, 2.0 * p):
+        if q < 0.0:
+            np.power(np.maximum(a, zero_floor, out=work), q, out=work)
+        else:
+            np.power(a, q, out=work)
+        sums.append(np.add.reduce(work, axis=-1))
+    signed = np.sign(xi, out=xi)
+    signed *= np.power(a, p, out=work)
+    sums.append(np.add.reduce(signed, axis=-1))
+    return np.array(sums) / x.shape[-1]
+
+
+EXPONENTS = st.lists(st.one_of(
+    st.sampled_from((0.5, 0.5025, 0.9, 1.0, 1.05, 1.5, 2.0)),
+    st.floats(0.5, 2.0)), min_size=1, max_size=20)
+
+
+@st.composite
+def centred_rows(draw):
+    """(x, center, zero_floor, ps): an (M, N) matrix whose rows are random,
+    hold exact zeros at their centre, residuals below their zero floor, or
+    NaN and inf; a scalar or (M, 1) centre and floor; and an exponent list
+    of length 1 to 20, or exactly 20, on both sides of 1."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 4))
+    center = draw(st.sampled_from((0.0, 1.5, -2.25)))
+    floor = draw(st.sampled_from((1e-12, 1e-3, 0.25)))
+    if draw(st.booleans()):  # a centre and floor per row
+        shift = draw(arrays(np.float64, (m, 1), elements=st.floats(
+            -1.0, 1.0, allow_subnormal=False)))
+        center, floor = center + shift, floor * (1.0 + np.abs(shift))
+    rows = []
+    for r in range(m):
+        c, f = np.broadcast_to(center, (m, 1))[r, 0], \
+            np.broadcast_to(floor, (m, 1))[r, 0]
+        row = draw(arrays(np.float64, n, elements=st.floats(
+            -1e3, 1e3, allow_nan=False, allow_subnormal=False)))
+        kind = draw(st.sampled_from(("random", "zeros", "below_floor",
+                                     "nan", "inf")))
+        if kind == "zeros":
+            row[::2] = c
+        elif kind == "below_floor":
+            row[::2] = c + 0.5 * f * np.sign(row[::2] - c)
+        elif kind == "nan":
+            row[draw(st.integers(0, n - 1))] = math.nan
+        elif kind == "inf":
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+                (math.inf, -math.inf)))
+        rows.append(row)
+    ps = draw(st.one_of(EXPONENTS, st.lists(
+        st.floats(0.5, 2.0), min_size=20, max_size=20)))
+    return np.stack(rows), center, floor, ps
+
+
+class TestMomentRows:
+    @settings(max_examples=300, deadline=None)
+    @given(centred_rows())
+    def test_exponent_grid_equals_one_exponent_at_a_time(self, case):
+        x, center, floor, ps = case
+        with np.errstate(all="ignore"):
+            got = moment_rows(x, center, ps, floor)
+            expected = [reference_moment_rows(x, center, p, floor)
+                        for p in ps]
+        assert [m.p for m in got] == list(ps)
+        for m, values in zip(got, expected):
+            assert m.values.shape == (5, x.shape[0])
+            assert [v.hex() for v in m.values.ravel().tolist()] == \
+                [v.hex() for v in values.ravel().tolist()]
+
+    def test_floor_applies_below_one_only(self):
+        x = np.array([[0.0, 1e-20, 2.0]])
+        low, high = moment_rows(x, 0.0, (0.5, 1.5), 1e-12)
+        assert low.values[1, 0] == pytest.approx(
+            (2 * 1e-12 ** -0.5 + 2.0 ** -0.5) / 3, rel=1e-15)
+        assert high.values[1, 0] == pytest.approx(
+            (1e-20 ** 0.5 + 2.0 ** 0.5) / 3, rel=1e-15)
+
+
 class TestEmpiricalMoments:
     def test_symmetric_three_point_sample(self):
         m = empirical_moments([-1.0, 0.0, 1.0], 0.0, 1.0)
@@ -99,7 +185,7 @@ class TestEmpiricalMoments:
                                                          p):
         expected = reference_winsorized_rows(x, p, fraction)
         capped = winsorize_rows(x.copy(), fraction)
-        got = moment_rows(capped, 0.0, p).values
+        got = moment_rows(capped, 0.0, (p,))[0].values
         assert [v.hex() for v in got.ravel().tolist()] == \
             [v.hex() for v in expected.ravel().tolist()]
         for r in range(x.shape[0]):
