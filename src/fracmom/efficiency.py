@@ -18,7 +18,11 @@ from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec
 from .errors import DegenerateRatio, NonFiniteMoment, \
     NonPositiveDenominator, SingularSystem
-from .moments import FractionalMomentSet, MomentRows, theoretical_moments
+from .moments import FractionalMomentSet, MomentRows, abs_moment, \
+    theoretical_set
+# theoretical_moments is no longer called here; perfbench/tracer.py binds it
+# through this module
+from .moments import theoretical_moments  # noqa: F401
 
 DET_THRESHOLD = 1e-14
 COND_CAP = 1e10
@@ -210,8 +214,9 @@ def g2_sweep(spec: DistributionSpec, grid_step: float = 0.05,
     alphas = alpha_grid(grid_step, band)
     values = np.empty(alphas.size)
     flags = np.zeros(alphas.size, dtype=bool)
+    c2 = abs_moment(spec, 2.0)  # the one order that does not depend on alpha
     for idx, a in enumerate(alphas):
-        m = theoretical_moments(spec, second_exponent(a))
+        m = theoretical_set(spec, second_exponent(a), c2)
         values[idx], flags[idx] = g2_with_flag(m)
     best = int(np.argmin(values))
     return G2Curve(alphas, values, flags, float(alphas[best]),

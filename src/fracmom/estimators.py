@@ -20,7 +20,8 @@ from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
 from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
     non_finite_errors, row_blocks, sample_rows
-from .moments import empirical_moments, moment_rows  # noqa: F401
+from .moments import MomentRows, moment_rows, moment_sums
+from .moments import empirical_moments  # noqa: F401
 
 METHOD_FULL = "full"
 METHOD_PROXY = "proxy"
@@ -133,7 +134,7 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
     alpha (the input checks, and every row's mean, robust scale, zero floor
     and step bound) is computed once per block for the whole grid, and so
     are the residuals of the first pass, which starts every alpha at the
-    row mean: one moment_rows call gives that pass's moments at every
+    row mean: one moment_sums call gives that pass's moments at every
     exponent.  Only the outer passes run at each alpha.
     """
     x, finite = sample_rows(samples)
@@ -181,11 +182,10 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray, ps):
         center = mean[:, None]
         floor = np.maximum(1e-12 * scale, _tie_smoothing(x, center, scale))
         fl = floor[:, None]
-        firsts = moment_rows(x, center, ps, zero_floor=fl)
-        if n > 1:  # np.std(x, ddof=1) by the same arithmetic
-            dev = x - center
-            sd = np.sqrt(np.add.reduce(np.multiply(dev, dev, out=dev),
-                                       axis=-1) / (n - 1))
+        sums = moment_sums(x, center, ps, fl)
+        firsts = [MomentRows(p, s / n) for p, s in zip(ps, sums)]
+        if n > 1:  # np.std(x, ddof=1) by the same arithmetic: c2's row sum
+            sd = np.sqrt(sums[0][0] / (n - 1))
         else:
             sd = np.zeros(rows)
         if not np.isfinite(sd).all():

@@ -96,13 +96,24 @@ def moment_rows(x: np.ndarray, center, ps,
     arguments are those of empirical_moments, unchecked.  The residuals,
     their absolute values and signs and c2 are computed once per call; only
     the four sums that depend on p are computed at each exponent."""
-    # three (M, N) arrays, reused through out=: fresh ones per power would
-    # cost page faults at large N
+    # np.mean's arithmetic, one pairwise sum per row and a division, without
+    # its per-call overhead
+    return [MomentRows(p, sums / x.shape[-1])
+            for p, sums in zip(ps, moment_sums(x, center, ps, zero_floor))]
+
+
+def moment_sums(x: np.ndarray, center, ps, zero_floor) -> list[np.ndarray]:
+    """moment_rows' row sums before the division by N: one (5, M) array per
+    exponent in ``ps``, rows in MomentRows order."""
     xi = x - center
     a = np.abs(xi)
-    work = np.multiply(a, a)
+    # the signs go into their own array: numpy's in-place sign runs a
+    # branching scalar loop, several times slower on residuals of random
+    # sign than its vectorized loop into another array, with the same bits;
+    # the residuals' array then serves as the powers' work array
+    sign = np.sign(xi)
+    work = np.multiply(a, a, out=xi)
     c2 = np.add.reduce(work, axis=-1)
-    sign = np.sign(xi, out=xi)
     out = []
     for p in ps:
         sums = [c2]
@@ -115,9 +126,7 @@ def moment_rows(x: np.ndarray, center, ps,
         np.power(a, p, out=work)
         work *= sign
         sums.append(np.add.reduce(work, axis=-1))
-        # np.mean's arithmetic, one pairwise sum per row and a division,
-        # without its per-call overhead
-        out.append(MomentRows(p, np.array(sums) / x.shape[-1]))
+        out.append(np.array(sums))
     return out
 
 
@@ -237,9 +246,17 @@ def theoretical_moments(spec: DistributionSpec, p: float) -> FractionalMomentSet
     """
     if not 0.0 < p < math.inf:  # False for NaN
         raise ValueError(f"p must be finite and > 0, got {p}")
+    return theoretical_set(spec, p, abs_moment(spec, 2.0))
+
+
+def theoretical_set(spec: DistributionSpec, p: float,
+                    c2: float) -> FractionalMomentSet:
+    """theoretical_moments at exponent p, unchecked, with c2 = E|X - mu|^2
+    given: a sweep over exponents computes c2 once (one quadrature for the
+    beta law)."""
     return FractionalMomentSet(
         p=p,
-        c2=abs_moment(spec, 2.0),
+        c2=c2,
         nu_pm1=abs_moment(spec, p - 1.0),
         nu_pp1=abs_moment(spec, p + 1.0),
         nu_2p=abs_moment(spec, 2.0 * p),

@@ -21,11 +21,12 @@ from .distributions import DistributionSpec, parse_spec, sample
 from .efficiency import g2_closed_form
 from .errors import FracmomError
 from .estimators import estimate_full_grid, estimate_proxy_rows
-from .moments import theoretical_moments
-# estimate_full, estimate_proxy and run_baseline are no longer called here;
-# perfbench/tracer.py binds them through this module
+from .moments import abs_moment, theoretical_set
+# estimate_full, estimate_proxy, run_baseline and theoretical_moments are no
+# longer called here; perfbench/tracer.py binds them through this module
 from .baselines import run_baseline  # noqa: F401
 from .estimators import estimate_full, estimate_proxy  # noqa: F401
+from .moments import theoretical_moments  # noqa: F401
 
 WORKERS_ENV = "FRACMOM_WORKERS"
 MC_ESTIMATORS = ("ols", "proxy", "full")
@@ -89,11 +90,18 @@ class McRecord:
     rel_mse: float | None = None
 
 
-def _g2_theoretical(spec: DistributionSpec, alpha: float) -> float | None:
-    try:
-        return g2_closed_form(theoretical_moments(spec, second_exponent(alpha)))
-    except FracmomError:
-        return None
+def _g2_theoretical(spec: DistributionSpec, alphas):
+    """Yield the theoretical g2 of spec at every alpha, None where it is
+    refused; c2 does not depend on alpha and is computed once."""
+    c2 = None
+    for a in alphas:
+        try:
+            if c2 is None:
+                c2 = abs_moment(spec, 2.0)
+            g2 = g2_closed_form(theoretical_set(spec, second_exponent(a), c2))
+        except FracmomError:
+            g2 = None
+        yield g2
 
 
 def _aggregate(spec: DistributionSpec, n: int, alpha: float | None,
@@ -183,8 +191,9 @@ def run_mc(design: McDesign, workers: int | None = None) -> list[McRecord]:
     skipped and reflected in the replicates count, never aborting the run."""
     # only proxy and full cells carry a g2 reference
     alphas = design.alpha_values if set(design.estimators) - {"ols"} else ()
-    g2_theo = {(di, a): _g2_theoretical(spec, a)
-               for di, spec in enumerate(design.distributions) for a in alphas}
+    g2_theo = {(di, a): g
+               for di, spec in enumerate(design.distributions)
+               for a, g in zip(alphas, _g2_theoretical(spec, alphas))}
     return _run_blocks(partial(_mc_block, design, g2_theo), design, workers)
 
 

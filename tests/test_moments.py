@@ -19,6 +19,7 @@ from fracmom import (
     signed_moment,
     theoretical_moments,
 )
+from fracmom import efficiency, moments, montecarlo
 from fracmom.moments import moment_rows, winsorize_rows
 
 
@@ -133,6 +134,34 @@ class TestMomentRows:
         assert [m.p for m in got] == list(ps)
         for m, values in zip(got, expected):
             assert m.values.shape == (5, x.shape[0])
+            assert [v.hex() for v in m.values.ravel().tolist()] == \
+                [v.hex() for v in values.ravel().tolist()]
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_long_rows_match_the_in_place_sign(self, per_row):
+        """At N = 10^4 numpy takes its vectorized loops: the signs taken
+        into their own array give the bits of reference_moment_rows' sign
+        taken in place, on the residuals the plug-in winsorizes about 0."""
+        n = 10_000
+        rng = np.random.default_rng(20)
+        x = rng.laplace(size=(8, n))
+        center = np.array([[0.0], [0.0], [0.0], [0.0], [1.5], [-2.25],
+                           [0.75], [0.0]]) if per_row else 0.0
+        x[0, ::3], x[0, 1::3] = 0.0, -0.0  # +0.0 and -0.0 residuals
+        x[1] = -0.0
+        x[2] = 0.0
+        x[3, ::2] = np.where(x[3, ::2] < 0.0, -1.0, 1.0) \
+            * rng.choice((5e-324, 1e-310, 2.2e-308), size=n // 2)
+        x[4, ::2] = np.broadcast_to(center, (8, 1))[4, 0]  # zeros at it
+        x[5, 5] = math.nan
+        x[6, 6], x[6, 60] = math.inf, -math.inf
+        x[7, ::2] = math.inf
+        ps = (0.5, 0.9, 1.0, 1.5, 2.0)
+        with np.errstate(all="ignore"):
+            got = moment_rows(x, center, ps, 1e-12)
+            expected = [reference_moment_rows(x, center, p, 1e-12)
+                        for p in ps]
+        for m, values in zip(got, expected):
             assert [v.hex() for v in m.values.ravel().tolist()] == \
                 [v.hex() for v in values.ravel().tolist()]
 
@@ -338,6 +367,21 @@ class TestTheoreticalMoments:
 
     def test_beta_oracle_curve_golden(self):
         curve = calibrate_oracle(parse_spec("beta:2:5")).curve
+        assert tuple(float(v).hex() for v in curve.g2) == self.ORACLE_BETA_2_5
+
+    def test_oracle_computes_c2_once(self, monkeypatch):
+        """c2 does not depend on alpha: the beta law's sweep integrates it
+        once, and three orders at each of the grid's 20 alphas."""
+        orders = []
+
+        def counted(spec, q):
+            orders.append(q)
+            return abs_moment(spec, q)
+
+        for module in (moments, efficiency, montecarlo):
+            monkeypatch.setattr(module, "abs_moment", counted)
+        curve = calibrate_oracle(parse_spec("beta:2:5")).curve
+        assert len(orders) == 61 and orders[0] == 2.0
         assert tuple(float(v).hex() for v in curve.g2) == self.ORACLE_BETA_2_5
 
     def test_moment_set_fields(self):

@@ -1,21 +1,27 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracmom import (
     McDesign,
+    abs_moment,
     default_design,
     estimate_full,
     estimate_proxy,
+    g2_closed_form,
     parse_spec,
     run_baseline,
     run_baseline_mc,
     run_mc,
     sample,
+    second_exponent,
+    theoretical_moments,
     write_baseline_csv,
     write_mc_csv,
 )
+from fracmom import moments, montecarlo
 
 SMALL = McDesign((parse_spec("laplace"), parse_spec("beta:2:5")), (40, 80),
                  (0.05, 0.95), replicates=60, base_seed=99)
@@ -59,6 +65,26 @@ class TestRunMc:
         for r in small_records:
             if r.estimator in ("proxy", "full"):
                 assert r.g2_theo is not None and r.g2_theo > 0.0
+
+    def test_g2_reference_computes_c2_once_per_distribution(self,
+                                                           monkeypatch):
+        expected = {(spec.name, a): g2_closed_form(
+            theoretical_moments(spec, second_exponent(a)))
+            for spec in SMALL.distributions for a in SMALL.alpha_values}
+        orders = []
+
+        def counted(spec, q):
+            orders.append(q)
+            return abs_moment(spec, q)
+
+        for module in (moments, montecarlo):
+            monkeypatch.setattr(module, "abs_moment", counted)
+        records = run_mc(replace(SMALL, n_values=(40,), replicates=2))
+        # per distribution: c2, then three orders at each of the 2 alphas
+        assert len(orders) == 2 * (1 + 3 * 2)
+        for r in records:
+            if r.estimator in ("proxy", "full"):
+                assert r.g2_theo == expected[r.distribution, r.alpha]
 
     def test_gaussian_proxy_near_sandwich_prediction(self):
         # the scalar signed-power root has its own asymptotic efficiency,
