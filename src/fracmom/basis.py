@@ -70,32 +70,46 @@ def collision_roots(i: int, j: int) -> tuple[float, float]:
     return 0.5, neg
 
 
-def basis_value(i: int, alpha, xi, epsilon: float = 0.0):
+def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
     """Evaluate basis member i at residual xi (scalar or array).
 
     Odd in xi and exactly 0 at xi = 0.  ``epsilon > 0`` switches the
     sub-linear members to the smoothed form sign(xi) * (xi^2 + eps^2)^(p/2);
     smoothing is never applied to exponents >= 1 nor to the identity member.
+    ``out``, an array of xi's shape that shares no memory with it, receives
+    the values and is returned; for a scalar xi it is a 0-d array, and the
+    float is returned.  The values are the same bits either way.
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
+    x = np.asarray(xi, dtype=float)
     if i == 1 or float(alpha) == 0.5:
         # member 1 is the identity, and every member collapses to it at the
         # midpoint; return xi itself so the identity is exact, not 1-ulp off
-        return np.asarray(xi, dtype=float) if np.ndim(xi) else float(xi)
+        if out is None:
+            return x if np.ndim(xi) else float(xi)
+        np.copyto(out, x)
+        return out if np.ndim(xi) else float(out)
     p = exponent(i, alpha)
-    x = np.asarray(xi, dtype=float)
+    # one array per call, written in place: the proxy calls this once per
+    # score evaluation, and at large N fresh arrays cost page faults.  Every
+    # form reads x after writing v, so v must not be x
+    v = np.empty_like(x) if out is None else out
     if epsilon > 0.0 and p < 1.0:
-        out = np.sign(x) * np.power(x * x + epsilon**2, 0.5 * p)
+        np.multiply(x, x, out=v)
+        v += epsilon**2
+        np.power(v, 0.5 * p, out=v)
+        np.multiply(np.sign(x), v, out=v)
     elif p < 0.0:
         # members i >= 6 have negative exponents near alpha ~ 0.15, where
         # |0|**p is inf and sign(0) * inf would be NaN
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x == 0.0, 0.0, np.sign(x) * np.power(np.abs(x), p))
+            np.abs(x, out=v)
+            np.power(v, p, out=v)
+            np.multiply(np.sign(x), v, out=v)
+        v[x == 0.0] = 0.0
     else:
-        # one fresh array per call, not three: the proxy calls this once per
-        # score evaluation, and at large N fresh arrays cost page faults
-        out = np.abs(x, out=np.empty_like(x))
-        np.power(out, p, out=out)
-        np.copysign(out, x, out=out)
-    return out if np.ndim(xi) else float(out)
+        np.abs(x, out=v)
+        np.power(v, p, out=v)
+        np.copysign(v, x, out=v)
+    return v if np.ndim(xi) else float(v)

@@ -60,9 +60,20 @@ def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise ValueError("samples must be an (M, N) array")
-    if x.shape[1] == 0:
+    rows, n = x.shape
+    if n == 0:
         raise ValueError("empty sample")
-    return x, np.isfinite(x).all(axis=1)
+    if rows <= _block_rows(n):  # one mask, as a single sample needs
+        return x, np.isfinite(x).all(axis=1)
+    # the finiteness mask is as large as x, so it is built block by block
+    finite = np.empty(rows, dtype=bool)
+    for b in row_blocks(rows, n):
+        finite[b] = np.isfinite(x[b]).all(axis=1)
+    return x, finite
+
+
+def _block_rows(n: int) -> int:
+    return max(1, BLOCK_ELEMENTS // n)
 
 
 def row_blocks(rows: int, n: int):
@@ -70,7 +81,7 @@ def row_blocks(rows: int, n: int):
     range(rows) in order.  A row kernel on an (rows, n) matrix runs block by
     block, so that its temporaries take a fixed budget whatever rows is;
     every row's reductions stay the same, and so do its results."""
-    step = max(1, BLOCK_ELEMENTS // n)
+    step = _block_rows(n)
     for first in range(0, rows, step):
         yield slice(first, min(first + step, rows))
 

@@ -323,11 +323,14 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
     ends = np.empty((2, live.size))
     np.subtract(med, half, out=ends[0])
     np.add(med, half, out=ends[1])
-    # the residuals of every score evaluation go into views of one work
-    # array per block: a fresh array at every Brent step costs page faults
-    # at large N, and calls may run in threads, so it is not shared
+    # every score evaluation writes its residuals and basis values into one
+    # work array per block, so that no bracket end, widening or Brent step
+    # allocates an (M, N) array: at large N fresh arrays cost page faults.
+    # Calls may run in threads, so the array is not shared
     work = np.empty((2,) + x.shape)
-    scores = _proxy_scores(x, ends, a, eps, work)
+    scores = np.empty((2, live.size))
+    for k in range(2):
+        scores[k] = _proxy_scores(x, ends[k], a, eps, work)
     # score is strictly decreasing in mu, so a sign change must appear
     # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
     # are checked
@@ -345,9 +348,13 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
                     f"for p={p}")
             searching = ~wide
             break
-        xw = x[wide]
-        scores[:, wide] = _proxy_scores(xw, ends[:, wide], a,
-                                        _take(eps, wide), work[:, :len(xw)])
+        if wide.all():
+            xw, epsw = x, eps
+        else:
+            xw, epsw = x[wide], _take(eps, wide)
+        for k in range(2):
+            scores[k, wide] = _proxy_scores(xw, ends[k, wide], a, epsw,
+                                            work[:, :len(xw)])
 
     # the Brent searches of the bracketed rows in lock-step: every round
     # sends each search the score of the point it yielded last (None
@@ -359,7 +366,7 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
                 for j, r in enumerate(live.tolist()) if searching[j]]
     if len(searches) < live.size:
         x, eps = x[searching], _take(eps, searching)
-    resid = work[0, :len(x)]
+    work = work[:, :len(x)]
     sent = [None] * len(searches)
     while searches:
         going, points = [], []
@@ -379,8 +386,8 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
             if not searches:
                 break
             x, eps = x[going], _take(eps, going)
-            resid = resid[:len(x)]
-        sent = _proxy_scores(x, np.array(points), a, eps, resid).tolist()
+            work = work[:, :len(x)]
+        sent = _proxy_scores(x, np.array(points), a, eps, work).tolist()
 
 
 def _take(eps, rows):
@@ -388,16 +395,17 @@ def _take(eps, rows):
 
 
 def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
-                  eps: np.ndarray | None, resid: np.ndarray) -> np.ndarray:
-    """The proxy score sum_j basis_value(2, a, x[r, j] - mu[..., r], eps[r])
-    of every row r of x, at the points mu holds for it along its last axis;
-    eps None stands for 0 in every row.  The residuals are written into
-    resid, which has their shape, so that no step allocates them."""
-    xi = np.subtract(x, mu[..., None], resid)
-    v = basis_value(2, a, xi)
+                  eps: np.ndarray | None, work: np.ndarray) -> np.ndarray:
+    """The proxy score sum_j basis_value(2, a, x[r, j] - mu[r], eps[r]) of
+    every row r of x at its point mu[r]; eps None stands for 0 in every
+    row.  work, of shape (2,) + x.shape, takes the residuals in its first
+    slab and the basis values in its second, so that no score allocates
+    them."""
+    xi = np.subtract(x, mu[:, None], out=work[0])
+    v = basis_value(2, a, xi, out=work[1])
     if eps is not None:
         for r in np.flatnonzero(eps > 0.0):
-            v[..., r, :] = basis_value(2, a, xi[..., r, :], eps[r])
+            basis_value(2, a, xi[r], eps[r], out=v[r])
     return np.add.reduce(v, axis=-1)
 
 

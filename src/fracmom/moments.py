@@ -225,7 +225,7 @@ def abs_moment(spec: DistributionSpec, q: float) -> float:
     if fam == "triangular":
         return 2.0 * s**q / ((q + 1.0) * (q + 2.0))
     # beta law: no convenient closed form for fractional orders
-    return quadrature_moment(spec.density, q, spec.support,
+    return quadrature_moment(spec.quadrature_density, q, spec.support,
                              center=spec.true_location, check_density=False)
 
 
@@ -233,7 +233,7 @@ def signed_moment(spec: DistributionSpec, q: float) -> float:
     """E[sign(X - mu) |X - mu|^q]; exactly zero for symmetric families."""
     if spec.symmetric:
         return 0.0
-    return quadrature_moment(spec.density, q, spec.support,
+    return quadrature_moment(spec.quadrature_density, q, spec.support,
                              center=spec.true_location, signed=True,
                              check_density=False)
 

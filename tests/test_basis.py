@@ -124,6 +124,66 @@ class TestBasisValue:
             expected, rel=1e-15)
 
 
+# every branch of basis_value: p < 1, p > 1, the identity member and the
+# alpha = 1/2 collapse, smoothing, and the negative exponents of i >= 6,
+# with and without smoothing
+BRANCHES = [(2, 0.0, 0.0), (2, 0.05, 0.0), (2, 1.0, 0.0), (2, 0.95, 0.0),
+            (1, 0.3, 0.0), (3, 0.5, 0.0), (2, 0.05, 1e-3), (2, 1.0, 0.1),
+            (6, 0.125, 0.0), (6, 0.125, 1e-3)]
+RESIDUALS = np.array([-7.25, -1.0, -1e-300, -0.0, 0.0, 5e-324, 0.3, 1.0,
+                      123.0, 1e200, math.inf, -math.inf, math.nan])
+
+
+def _reference(i, alpha, x, eps):
+    # the formulas basis_value evaluated before it wrote into one array
+    p = exponent(i, alpha)
+    if i == 1 or alpha == 0.5:
+        return x.copy()
+    with np.errstate(all="ignore"):
+        if eps > 0.0 and p < 1.0:
+            return np.sign(x) * np.power(x * x + eps**2, 0.5 * p)
+        if p < 0.0:
+            return np.where(x == 0.0, 0.0,
+                            np.sign(x) * np.power(np.abs(x), p))
+        return np.copysign(np.power(np.abs(x), p), x)
+
+
+class TestBasisValueOut:
+    @pytest.mark.parametrize("i,alpha,eps", BRANCHES)
+    def test_out_gives_the_fresh_bits(self, i, alpha, eps):
+        x = RESIDUALS.copy()
+        with np.errstate(all="ignore"):
+            fresh = basis_value(i, alpha, x, eps)
+            out = np.full_like(x, 42.0)
+            got = basis_value(i, alpha, x, eps, out=out)
+        assert got is out
+        assert out.tobytes() == fresh.tobytes() \
+            == _reference(i, alpha, x, eps).tobytes()
+        assert x.tobytes() == RESIDUALS.tobytes()
+
+    @pytest.mark.parametrize("i,alpha,eps", BRANCHES)
+    def test_out_on_rows_of_a_matrix(self, i, alpha, eps):
+        x = np.stack([RESIDUALS, -RESIDUALS[::-1]])
+        work = np.empty((2,) + x.shape)
+        work[0] = x
+        with np.errstate(all="ignore"):
+            for r in range(2):
+                basis_value(i, alpha, work[0, r], eps, out=work[1, r])
+            assert work[1].tobytes() == basis_value(i, alpha, x,
+                                                    eps).tobytes()
+
+    @pytest.mark.parametrize("i,alpha,eps", BRANCHES)
+    def test_scalar_with_out(self, i, alpha, eps):
+        for xi in RESIDUALS.tolist():
+            with np.errstate(all="ignore"):
+                fresh = basis_value(i, alpha, xi, eps)
+                got = basis_value(i, alpha, xi, eps, out=np.empty(()))
+            assert type(got) is type(fresh) is float
+            assert np.float64(got).tobytes() == np.float64(fresh).tobytes()
+            assert np.float64(got).tobytes() == _reference(
+                i, alpha, np.array(xi), eps).tobytes()
+
+
 class TestConfigs:
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):

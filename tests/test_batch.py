@@ -192,10 +192,11 @@ def test_shared_first_pass_maps_each_alpha_to_its_exponent():
     assert grid[2].theta_hat.tolist() != grid[4].theta_hat.tolist()
 
 
-def brentq_proxy(x, alpha) -> tuple[float, int]:
+def brentq_proxy(x, alpha, widenings=None) -> tuple[float, int]:
     """estimate_proxy's (root, iterations) as the per-row proxy computed
     them: a score closure over the sample, bracketed, then handed to
-    scipy's brentq."""
+    scipy's brentq.  A list given as widenings receives the number of
+    times the bracket was widened."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise NonFiniteInput("sample contains NaN or infinite values")
@@ -214,8 +215,10 @@ def brentq_proxy(x, alpha) -> tuple[float, int]:
     half = BRACKET_EXPANSION * max(scale, 1e-8 * (1.0 + abs(med)))
     lo, hi = med - half, med + half
     s_lo, s_hi = score(lo), score(hi)
-    for _ in range(MAX_BRACKET_DOUBLINGS):
+    for widened in range(MAX_BRACKET_DOUBLINGS):
         if s_lo >= 0.0 >= s_hi:
+            if widenings is not None:
+                widenings.append(widened)
             break
         half *= 2.0
         lo, hi = med - half, med + half
@@ -268,7 +271,11 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     x = np.stack([laplace, tied, np.full(40, -2.5), np.r_[np.full(39, -1.0),
                                                             1e3], 5 * laplace])
     _assert_proxy_rows_match_brentq(x, alpha)
-    # the outlier row needs its bracket widened
+    # from p = 1 up the outlier row needs its bracket widened, alone and
+    # among rows that do not
+    widenings = []
+    brentq_proxy(x[3], alpha, widenings)
+    assert (widenings[0] > 0) == (alpha >= 0.5)
     assert estimate_proxy_rows(x[3:4], alpha).ok.all()
 
 
@@ -402,8 +409,13 @@ def test_baseline_rows_match_reference_by_n(n):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 def test_proxy_rows_match_brentq_at_large_n(alpha):
-    _assert_proxy_rows_match_brentq(
-        sample(parse_spec("laplace"), 100_000, 12)[None, :], alpha)
+    laplace = sample(parse_spec("laplace"), 100_000, 12)
+    outlier = laplace.copy()
+    outlier[0] = 1e12  # its bracket widens
+    widenings = []
+    brentq_proxy(outlier, alpha, widenings)
+    assert widenings[0] > 0
+    _assert_proxy_rows_match_brentq(np.stack([laplace, outlier]), alpha)
 
 
 def _selection_rows(n, non_finite):

@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracmom import calibrate_grid_mc, calibrate_plugin, parse_spec, sample
+from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_proxy, \
+    parse_spec, sample
 from fracmom import calibration, errors
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
@@ -132,6 +133,33 @@ def test_calibrator_memory_is_matrix_index_and_blocks(criterion):
         matrix = b * n * 8
     index = b * n * 8
     assert matrix < peak < matrix + index + 16 * BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.95])
+def test_proxy_call_allocates_two_rows_of_work(alpha):
+    # the work array's two slabs take every score's residuals and basis
+    # values; the median and the robust scale copy the row on their own
+    n = 200_000
+    x = sample(parse_spec("laplace"), n, [2026, 15])
+    estimate_proxy(x, alpha)
+    peak = _peak_bytes(lambda: estimate_proxy(x, alpha))
+    assert peak < 2.5 * n * 8, peak / (n * 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finite_mask_by_blocks_is_the_one_call_mask(bad):
+    n = 1000
+    per_block = errors.BLOCK_ELEMENTS // n
+    x = make_rng([15, 3]).standard_normal((3 * per_block + 5, n))
+    # the first, a middle and the last block, on their edges and inside
+    for r in (0, 7, per_block - 1, per_block, 2 * per_block - 1,
+              3 * per_block, len(x) - 1):
+        x[r, (17 * r) % n] = bad
+    peak = _peak_bytes(lambda: errors.sample_rows(x))
+    rows, finite = errors.sample_rows(x)
+    assert rows is x
+    assert finite.tolist() == np.isfinite(x).all(axis=1).tolist()
+    assert peak < errors.BLOCK_ELEMENTS + 4096 < x.size
 
 
 SHAPES = [(1, 1), (7, 1), (3, 5), (50, 300), (201, 500), (1, 100_000)]

@@ -82,7 +82,8 @@ class TestSpec:
     @pytest.mark.parametrize("name", ["gg:1.5", "beta:2:5", "laplace"])
     def test_spec_with_cached_constants_is_a_plain_value(self, name):
         spec, fresh = parse_spec(name), parse_spec(name)
-        spec.scale, spec.density(0.1)  # caches the constants
+        # caches the constants and memoizes the density at 0.1
+        spec.scale, spec.density(0.1), spec.quadrature_density(0.1)
         assert spec == fresh and hash(spec) == hash(fresh)
         assert repr(spec) == repr(fresh)
         for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
@@ -90,11 +91,13 @@ class TestSpec:
             assert repr(twin) == repr(fresh)
             assert twin.scale == fresh.scale
             assert twin.density(0.1) == fresh.density(0.1)
+            assert twin.quadrature_density(0.1) == fresh.density(0.1)
 
     @pytest.mark.parametrize("name", ["gg:1.5", "beta:2:5", "laplace"])
     def test_replaced_spec_gets_its_own_constants(self, name):
         spec = parse_spec(name)
-        spec.scale, spec.density(0.1)  # caches the constants
+        # caches the constants and memoizes the density at 0.1
+        spec.scale, spec.density(0.1), spec.quadrature_density(0.1)
         raw = dataclasses.replace(spec, standardized=False)
         fresh = parse_spec(name, standardized=False)
         assert raw == fresh and raw != spec
@@ -102,10 +105,13 @@ class TestSpec:
         assert raw.support == fresh.support
         for x in (-0.3, 0.1, 0.5, 0.9):
             assert raw.density(x) == fresh.density(x)
+            assert raw.quadrature_density(x) == fresh.density(x)
         if name != "beta:2:5":  # beta's scale is its support either way
             assert raw.scale != spec.scale
         else:
             assert raw.density(0.1) != spec.density(0.1)
+            assert raw.quadrature_density(0.1) != \
+                spec.quadrature_density(0.1)
 
 
 class TestSampling:

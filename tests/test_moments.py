@@ -20,6 +20,7 @@ from fracmom import (
     theoretical_moments,
 )
 from fracmom import efficiency, moments, montecarlo
+from fracmom.distributions import DistributionSpec
 from fracmom.moments import moment_rows, winsorize_rows
 
 
@@ -383,6 +384,29 @@ class TestTheoreticalMoments:
         curve = calibrate_oracle(parse_spec("beta:2:5")).curve
         assert len(orders) == 61 and orders[0] == 2.0
         assert tuple(float(v).hex() for v in curve.g2) == self.ORACLE_BETA_2_5
+
+    def test_oracle_density_runs_once_per_node(self, monkeypatch):
+        """QUADPACK revisits the same nodes for every order it integrates:
+        the spec's memo evaluates the density once per distinct node, and
+        the curve is the unmemoized one bit for bit."""
+        nodes = []
+        density = DistributionSpec.density
+
+        def counted(spec, x):
+            nodes.append(x)
+            return density(spec, x)
+
+        monkeypatch.setattr(DistributionSpec, "density", counted)
+        memoized = calibrate_oracle(parse_spec("beta:2:5")).curve.g2
+        distinct = len(nodes)
+        assert distinct == len(set(nodes)) > 0
+        monkeypatch.setattr(DistributionSpec, "quadrature_density", counted)
+        plain = calibrate_oracle(parse_spec("beta:2:5")).curve.g2
+        assert set(nodes[distinct:]) == set(nodes[:distinct])
+        assert len(nodes) - distinct > 10 * distinct
+        assert memoized.tobytes() == plain.tobytes()
+        assert tuple(float(v).hex() for v in memoized) == \
+            self.ORACLE_BETA_2_5
 
     def test_moment_set_fields(self):
         m = theoretical_moments(parse_spec("laplace", standardized=False), 2.0)
