@@ -63,8 +63,6 @@ def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     rows, n = x.shape
     if n == 0:
         raise ValueError("empty sample")
-    if rows <= _block_rows(n):  # one mask, as a single sample needs
-        return x, np.isfinite(x).all(axis=1)
     # the finiteness mask is as large as x, so it is built block by block
     finite = np.empty(rows, dtype=bool)
     for b in row_blocks(rows, n):
@@ -72,16 +70,12 @@ def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     return x, finite
 
 
-def _block_rows(n: int) -> int:
-    return max(1, BLOCK_ELEMENTS // n)
-
-
 def row_blocks(rows: int, n: int):
     """Slices of at most max(1, BLOCK_ELEMENTS // n) rows that cover
     range(rows) in order.  A row kernel on an (rows, n) matrix runs block by
     block, so that its temporaries take a fixed budget whatever rows is;
     every row's reductions stay the same, and so do its results."""
-    step = _block_rows(n)
+    step = max(1, BLOCK_ELEMENTS // n)
     for first in range(0, rows, step):
         yield slice(first, min(first + step, rows))
 

@@ -324,9 +324,9 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
     np.subtract(med, half, out=ends[0])
     np.add(med, half, out=ends[1])
     # every score evaluation writes its residuals and basis values into one
-    # work array per block, so that no bracket end, widening or Brent step
-    # allocates an (M, N) array: at large N fresh arrays cost page faults.
-    # Calls may run in threads, so the array is not shared
+    # work array per block, so that no score allocates them: at large N
+    # fresh arrays cost page faults.  Calls may run in threads, so the
+    # array is not shared
     work = np.empty((2,) + x.shape)
     scores = np.empty((2, live.size))
     for k in range(2):
@@ -348,10 +348,7 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
                     f"for p={p}")
             searching = ~wide
             break
-        if wide.all():
-            xw, epsw = x, eps
-        else:
-            xw, epsw = x[wide], _take(eps, wide)
+        xw, epsw = x[wide], _take(eps, wide)
         for k in range(2):
             scores[k, wide] = _proxy_scores(xw, ends[k, wide], a, epsw,
                                             work[:, :len(xw)])
