@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import row_blocks, sample_row, sample_rows
+from .errors import integer_value, row_blocks, sample_row, sample_rows
 
 BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
@@ -103,7 +103,7 @@ def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
     """huber_location of every row of x, by iteratively reweighted means
     under a per-row mask: a row stops once its step is below 1e-9 of its
     scale, or after HUBER_MAX_ITERS steps."""
-    if tuning_c <= 0.0:
+    if not tuning_c > 0.0:  # NaN too
         raise ValueError("tuning_c must be > 0")
     med = median_rows(x)
     work = np.subtract(x, med[:, None])  # reused for every pass's weights
@@ -156,6 +156,7 @@ def median_of_means_rows(x: np.ndarray, blocks: int | None = None,
     rows, n = x.shape
     if blocks is None:
         blocks = math.ceil(math.sqrt(n))
+    blocks = integer_value(blocks, "blocks")
     if not 1 <= blocks <= n:
         raise ValueError("blocks must lie in [1, N]")
     q, longer = divmod(n, blocks)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import special
 
-from .errors import NonFiniteMoment
+from .errors import NonFiniteMoment, integer_value
 
 ENTROPY_COEFF_MAX = math.sqrt(2.0 * math.pi * math.e) / 2.0
 
@@ -245,7 +245,104 @@ def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """Draw n values; deterministic in (spec, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
+    return _draw(spec, make_rng(seed), n)
+
+
+def sample_block(spec: DistributionSpec, n: int, prefix,
+                 replicates: int) -> np.ndarray:
+    """The (replicates, n) matrix whose row r is sample(spec, n,
+    [*prefix, r]), bit for bit, for a prefix of non-negative ints.
+
+    Philox is counter-based, so a generator whose key is set and whose
+    counter and buffer are cleared draws what a fresh one with that key
+    draws.  One Philox and one Generator serve the whole block: they are
+    reset to each row's key (block_keys) instead of being built from a new
+    SeedSequence per row.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an empty buffer
+    out = np.empty((replicates, n))
+    for r, key in enumerate(block_keys(prefix, replicates)):
+        state["state"]["key"] = key
+        bits.state = state
+        out[r] = _draw(spec, rng, n)
+    return out
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe, numpy/random/bit_generator.pyx):
+# a pool of four uint32 words mixed from the entropy words by hashmix and mix
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def block_keys(prefix, replicates: int) -> np.ndarray:
+    """(replicates, 2) uint64 Philox keys: row r equals
+    np.random.SeedSequence([*prefix, r]).generate_state(2, np.uint64),
+    which is the key Philox takes from that seed.  SeedSequence's arithmetic
+    runs on uint32 arrays over r, each r (below 2**32) being one entropy
+    word; its hash constants, the same for every r, step as Python ints."""
+    entropy = [np.full(replicates, w, dtype=np.uint32)
+               for v in prefix for w in _uint32_words(v)]
+    entropy.append(np.arange(replicates, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ (value >> 16)
+
+    zero = np.zeros(replicates, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(2, np.uint64): four uint32 words, paired little-endian
+    final = _hasher(_INIT_B, _MULT_B)
+    state = [final(word).astype(np.uint64) for word in pool]
+    keys = np.empty((replicates, 2), dtype=np.uint64)
+    keys[:, 0] = state[0] | state[1] << np.uint64(32)
+    keys[:, 1] = state[2] | state[3] << np.uint64(32)
+    return keys
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, whose hash constant starts
+    at const and is multiplied by mult at every call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _uint32_words(value) -> list[int]:
+    """A non-negative int as SeedSequence splits it: uint32 words, least
+    significant first, and one word 0 for 0."""
+    value = integer_value(value, "a seed word")
+    if value < 0:
+        raise ValueError("seed words must be non-negative")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _draw(spec: DistributionSpec, rng: np.random.Generator,
+          n: int) -> np.ndarray:
+    """n values of spec drawn from rng."""
     s = spec.scale
     if spec.family == "gaussian":
         return rng.standard_normal(n)

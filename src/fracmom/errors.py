@@ -2,6 +2,8 @@
 samples that every estimator, baseline and calibrator makes, and the row
 blocks their kernels run in."""
 
+import operator
+
 import numpy as np
 
 
@@ -88,6 +90,17 @@ def sample_row(sample) -> np.ndarray:
     if not finite[0]:
         raise NonFiniteInput(_NON_FINITE)
     return x
+
+
+def integer_value(value, what: str) -> int:
+    """value as an int, for an integer that is not a bool (operator.index);
+    ValueError for anything else."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def non_finite_errors(finite: np.ndarray) -> dict[int, Exception]:

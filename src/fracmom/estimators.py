@@ -272,41 +272,50 @@ def estimate_proxy(sample, alpha) -> EstimateResult:
 
 
 def estimate_proxy_rows(samples, alpha) -> EstimateRows:
-    """estimate_proxy on every row of an (M, N) matrix, all rows at once.
+    """estimate_proxy on every row of an (M, N) matrix, all rows at once:
+    the batch of one alpha of estimate_proxy_grid."""
+    return estimate_proxy_grid(samples, (alpha,))[0]
+
+
+def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:
+    """estimate_proxy on every row of an (M, N) matrix at every alpha in
+    alphas: one EstimateRows per alpha, in order.
 
     The bracket search widens every row's bracket under a per-row mask, and
     each row then runs its own Brent search (_brent) in lock-step with the
     others, so one score evaluation per step serves every row still
-    searching.  Row r's result is estimate_proxy(samples[r], alpha) bit for
-    bit whatever the other rows hold.  The rows run block by block
-    (row_blocks).
+    searching.  Row r's result is estimate_proxy(samples[r], a) bit for bit
+    whatever the other rows hold.  The rows run block by block (row_blocks),
+    and what does not depend on alpha (every row's median, robust scale,
+    tie smoothing and starting bracket, and the work array of the scores)
+    is computed once per block for the whole grid.
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]
-    a = alpha_value(alpha)
-    out = EstimateRows(np.empty(rows),
-                       np.full(rows, METHOD_PROXY, dtype=object),
-                       np.zeros(rows, dtype=int), np.zeros(rows),
-                       np.full(rows, math.nan), np.full(rows, math.nan),
-                       np.ones(rows, dtype=bool), non_finite_errors(finite))
+    grid = [alpha_value(a) for a in alphas]
+    out = [EstimateRows(np.empty(rows),
+                        np.full(rows, METHOD_PROXY, dtype=object),
+                        np.zeros(rows, dtype=int), np.zeros(rows),
+                        np.full(rows, math.nan), np.full(rows, math.nan),
+                        np.ones(rows, dtype=bool), non_finite_errors(finite))
+           for _ in grid]
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for b in row_blocks(*x.shape):
-            _proxy_block(x[b], finite[b], a, out.theta_hat[b],
-                         out.outer_iters[b], out.errors, b.start)
-    for r in out.errors:
-        out.theta_hat[r] = math.nan
+            _proxy_block(x[b], finite[b], grid, out, b)
+    for res in out:
+        for r in res.errors:
+            res.theta_hat[r] = math.nan
     return out
 
 
-def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
-                 theta: np.ndarray, iters: np.ndarray, errors: dict,
-                 first: int):
-    """estimate_proxy_rows on the block of rows x, which starts at row first:
-    fills the block's estimates theta and iteration counts iters, and
-    errors."""
-    p = second_exponent(a)
+def _proxy_block(x: np.ndarray, finite: np.ndarray, grid: list,
+                 out: list, b: slice):
+    """estimate_proxy_grid on the block of rows x, rows b of the matrix:
+    fills the block's estimates and iteration counts in every EstimateRows
+    of out, one per alpha of grid, and their errors."""
     med = median_rows(x)
-    theta[:] = med
+    for res in out:
+        res.theta_hat[b] = med
     # a constant row's root is its value, which the median already holds
     live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
     if live.size < x.shape[0]:
@@ -314,20 +323,40 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, a: float,
             return
         x, med = x[live], med[live]
     scale = _robust_scale(x, med)
-    # each row's tie smoothing, or None where no row uses one
-    eps = _tie_smoothing(x, med[:, None], scale)
-    if not (p < 1.0 and (eps > 0.0).any()):
-        eps = None
+    ps = [second_exponent(a) for a in grid]
+    # each row's tie smoothing, or None where no row uses one; only p < 1
+    # smooths
+    eps = None
+    if any(p < 1.0 for p in ps):
+        eps = _tie_smoothing(x, med[:, None], scale)
+        if not (eps > 0.0).any():
+            eps = None
     half = BRACKET_EXPANSION * np.maximum(scale,
                                           1e-8 * (1.0 + np.abs(med)))
-    ends = np.empty((2, live.size))
-    np.subtract(med, half, out=ends[0])
-    np.add(med, half, out=ends[1])
     # every score evaluation writes its residuals and basis values into one
     # work array per block, so that no score allocates them: at large N
     # fresh arrays cost page faults.  Calls may run in threads, so the
     # array is not shared
     work = np.empty((2,) + x.shape)
+    for a, p, res in zip(grid, ps, out):
+        # the widening doubles half in place, so each alpha takes a copy
+        _proxy_root(x, live, med, half.copy(), a,
+                    eps if p < 1.0 else None, work, res, b)
+
+
+def _proxy_root(x: np.ndarray, live: np.ndarray, med: np.ndarray,
+                half: np.ndarray, a: float, eps: np.ndarray | None,
+                work: np.ndarray, res: EstimateRows, b: slice):
+    """The bracket and Brent searches of _proxy_block at one alpha, on the
+    block's live rows x (rows live of the block, rows b of the matrix), from
+    their medians med and starting half-widths half: fills the block's
+    estimates, iteration counts and errors in res."""
+    p = second_exponent(a)
+    theta, iters = res.theta_hat[b], res.outer_iters[b]
+    errors, first = res.errors, b.start
+    ends = np.empty((2, live.size))
+    np.subtract(med, half, out=ends[0])
+    np.add(med, half, out=ends[1])
     scores = np.empty((2, live.size))
     for k in range(2):
         scores[k] = _proxy_scores(x, ends[k], a, eps, work)

@@ -17,14 +17,16 @@ import numpy as np
 
 from .baselines import baseline_rows, mean_rows
 from .basis import alpha_value, second_exponent
-from .distributions import DistributionSpec, parse_spec, sample
+from .distributions import DistributionSpec, parse_spec, sample_block
 from .efficiency import g2_closed_form
-from .errors import FracmomError
-from .estimators import estimate_full_grid, estimate_proxy_rows
+from .errors import FracmomError, integer_value
+from .estimators import estimate_full_grid, estimate_proxy_grid
 from .moments import abs_moment, theoretical_set
-# estimate_full, estimate_proxy, run_baseline and theoretical_moments are no
-# longer called here; perfbench/tracer.py binds them through this module
+# estimate_full, estimate_proxy, run_baseline, sample and theoretical_moments
+# are no longer called here; perfbench/tracer.py binds them through this
+# module
 from .baselines import run_baseline  # noqa: F401
+from .distributions import sample  # noqa: F401
 from .estimators import estimate_full, estimate_proxy  # noqa: F401
 from .moments import theoretical_moments  # noqa: F401
 
@@ -49,6 +51,9 @@ class McDesign:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        # the replicate keys are built from its uint32 words
+        if integer_value(self.base_seed, "base_seed") < 0:
+            raise ValueError("base_seed must be >= 0")
         if any(n < 1 for n in self.n_values):
             raise ValueError(f"every n must be >= 1, got {self.n_values}")
         unknown = [e for e in self.estimators if e not in MC_ESTIMATORS]
@@ -132,8 +137,8 @@ def _draw_block(design: McDesign, task: tuple[int, int]):
     di, ni = task
     spec = design.distributions[di]
     n = design.n_values[ni]
-    samples = np.stack([sample(spec, n, [design.base_seed, di, ni, r])
-                        for r in range(design.replicates)])
+    samples = sample_block(spec, n, (design.base_seed, di, ni),
+                           design.replicates)
     return spec, n, samples, mean_rows(samples)
 
 
@@ -148,8 +153,7 @@ def _mc_block(design: McDesign, g2_theo: dict,
                                       ols_est, design.base_seed, None))
             continue
         if estimator == "proxy":
-            cells = [estimate_proxy_rows(samples, alpha)
-                     for alpha in design.alpha_values]
+            cells = estimate_proxy_grid(samples, design.alpha_values)
         elif spec.infinite_variance:
             # the weight system has no meaning without a second moment, so
             # the cell refuses every replicate

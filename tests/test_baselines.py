@@ -79,9 +79,11 @@ class TestHuberLocation:
         oracle = grid[np.argmin(loss(grid))]
         assert huber_location(x, c) == pytest.approx(oracle, abs=1e-4)
 
-    def test_invalid_tuning(self):
+    @pytest.mark.parametrize("tuning_c", [0.0, -1.0, math.nan])
+    def test_invalid_tuning(self, tuning_c):
+        # a NaN c made every weight 1, and so returned the mean
         with pytest.raises(ValueError):
-            huber_location([1.0, 2.0], tuning_c=0.0)
+            huber_location([1.0, 2.0, 7.0], tuning_c=tuning_c)
 
 
 class TestMedianOfMeans:
@@ -110,6 +112,15 @@ class TestMedianOfMeans:
             median_of_means(OUTLIER_SAMPLE, 0)
         with pytest.raises(ValueError):
             median_of_means(OUTLIER_SAMPLE, 6)
+
+    @pytest.mark.parametrize("blocks", [2.0, 2.5, True, "2"])
+    def test_blocks_must_be_an_integer(self, blocks):
+        # a float failed inside the slicing with a TypeError, and True was
+        # taken as one block
+        with pytest.raises(ValueError, match="blocks must be an integer"):
+            median_of_means(OUTLIER_SAMPLE, blocks)
+        assert median_of_means(OUTLIER_SAMPLE, np.int64(3)) == \
+            median_of_means(OUTLIER_SAMPLE, 3)
 
 
 class TestDispatch:

@@ -52,8 +52,9 @@ from fracmom.baselines import baseline_rows, median_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
+from fracmom import errors
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, estimate_full_grid, estimate_proxy_rows
+    _brent, estimate_full_grid, estimate_proxy_grid, estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -63,8 +64,9 @@ ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
 
 @st.composite
 def sample_matrices(draw, max_rows=6, max_n=40, min_n=1, kinds=ROW_KINDS):
-    """(M, N) samples whose rows are random, constant, tied, hold a NaN, or
-    are tied but for one far outlier (the proxy then widens its bracket)."""
+    """(M, N) samples whose rows are random, constant, tied, hold a NaN or
+    an inf, or are tied but for one far outlier (the proxy then widens its
+    bracket)."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
@@ -77,6 +79,8 @@ def sample_matrices(draw, max_rows=6, max_n=40, min_n=1, kinds=ROW_KINDS):
             row[: n // 2 + 1] = row[-1]
         elif kind == "nan":
             row[draw(st.integers(0, n - 1))] = math.nan
+        elif kind == "inf":
+            row[draw(st.integers(0, n - 1))] = -math.inf
         elif kind == "outlier":
             row[:-1] = row[0]
             row[-1] = row[0] + 1e5
@@ -277,6 +281,54 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     brentq_proxy(x[3], alpha, widenings)
     assert (widenings[0] > 0) == (alpha >= 0.5)
     assert estimate_proxy_rows(x[3:4], alpha).ok.all()
+
+
+def _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas):
+    grid = estimate_proxy_grid(x, alphas)
+    assert len(grid) == len(alphas)
+    for alpha, rows in zip(alphas, grid):
+        one = estimate_proxy_rows(x, alpha)
+        for name in ("theta_hat", "outer_iters"):
+            assert _bits(getattr(rows, name).tolist()) == \
+                _bits(getattr(one, name).tolist()), (alpha, name)
+        for r in range(x.shape[0]):
+            assert _outcome(rows.result, r) == _outcome(one.result, r)
+        assert [(r, type(e), str(e)) for r, e in rows.errors.items()] == \
+            [(r, type(e), str(e)) for r, e in one.errors.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_matrices(kinds=ROW_KINDS + ("outlier", "inf")),
+       st.lists(ALPHAS, min_size=1, max_size=4))
+def test_proxy_grid_matches_one_alpha_at_a_time(x, alphas):
+    _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas)
+
+
+@pytest.mark.parametrize("block_rows", [None, 2])
+def test_proxy_grid_on_every_row_kind(monkeypatch, block_rows):
+    """Rows whose setup the grid shares: random, constant, NaN and inf rows,
+    rows tied at the median (smoothed at p < 1 only), and a row whose bracket
+    fails at every alpha; a repeated alpha; and, with two rows per block,
+    more rows than one block."""
+    laplace = sample(parse_spec("laplace"), 4, 6)
+    x = np.array([laplace, np.full(4, 2.5), [1.0, math.nan, 0.0, 2.0],
+                  [1.0, 1.0, 1.0, 2.0], [-1.0, -1.0, -1.0, 1e20],
+                  [0.5, math.inf, 0.5, 0.0], 3.0 * laplace - 1.0,
+                  [-4.0, 0.25, 0.25, 9.0], [7.0, 7.0, -3.0, 7.0]])
+    alphas = (0.05, 0.95, 0.3, 0.05, 0.5, 1.0, 0.0)
+    if block_rows is not None:
+        monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * 4)
+    assert len(list(errors.row_blocks(*x.shape))) == \
+        (1 if block_rows is None else 5)
+    _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas)
+    grid = estimate_proxy_grid(x, alphas)
+    with np.errstate(all="ignore"):
+        for alpha, rows in zip(alphas, grid):
+            assert sorted(rows.errors) == [2, 4, 5]
+            assert type(rows.errors[4]) is BracketFailure
+            for r in range(x.shape[0]):
+                assert _row_outcome(rows, r) == _proxy_outcome(
+                    brentq_proxy, x[r], alpha), (alpha, r)
 
 
 def test_refused_row_reads_nan_whatever_the_others_hold():

@@ -18,6 +18,7 @@ from fracmom import (
     sample,
     shape_summary,
 )
+from fracmom.distributions import block_keys, sample_block
 
 FINITE_VAR = ("gaussian", "laplace", "gg:0.5", "gg:1.5", "gg:4", "uniform",
               "arcsine", "triangular", "beta:2:5")
@@ -156,6 +157,41 @@ class TestSampling:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample(parse_spec("laplace"), 0, 1)
+        with pytest.raises(ValueError):
+            sample_block(parse_spec("laplace"), 0, (1,), 3)
+
+
+class TestSampleBlock:
+    """sample_block derives every replicate's Philox key by SeedSequence's
+    arithmetic and resets one generator per block; written against numpy
+    2.4.6, whose SeedSequence is kept stable by its reproducibility policy
+    (NEP 19)."""
+
+    @pytest.mark.parametrize("prefix", [
+        (), (0,), (1234, 0, 0), (2**32 - 1, 3, 1), (2**32, 0, 2),
+        (2**40, 1, 2), (2**70, 5), (7, 0, 2**32 - 1, 9)])
+    def test_keys_are_seed_sequence_keys(self, prefix):
+        keys = block_keys(prefix, 300)
+        assert keys.dtype == np.uint64 and keys.shape == (300, 2)
+        for r in range(300):
+            expected = np.random.SeedSequence([*prefix, r]).generate_state(
+                2, np.uint64)
+            assert keys[r].tolist() == expected.tolist(), r
+
+    @pytest.mark.parametrize("name", FINITE_VAR + ("cauchy",))
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    def test_rows_are_sample_rows(self, name, n):
+        spec = parse_spec(name)
+        rows = sample_block(spec, n, (2026, 4, 1), 12)
+        assert rows.shape == (12, n)
+        for r in range(12):
+            assert rows[r].tobytes() == \
+                sample(spec, n, [2026, 4, 1, r]).tobytes(), r
+
+    @pytest.mark.parametrize("prefix", [(-1,), (1.5,), ("a",)])
+    def test_prefix_must_hold_non_negative_ints(self, prefix):
+        with pytest.raises(ValueError):
+            block_keys(prefix, 3)
 
 
 class TestDensities:

@@ -118,6 +118,26 @@ class TestDesignValidation:
                 McDesign(laplace, n_values, (0.05,), replicates=10)
         McDesign(laplace, (1,), (0.05,), replicates=10)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, None])
+    def test_base_seed_must_be_a_non_negative_int(self, seed):
+        # -1, 1.5 and "a" used to fail only inside numpy, once run_mc drew
+        with pytest.raises(ValueError, match="base_seed"):
+            McDesign((parse_spec("laplace"),), (5,), (0.05,), replicates=2,
+                     base_seed=seed)
+
+    def test_base_seed_beyond_one_word_keys_each_replicate(self):
+        # 2**40 is two uint32 words of the replicate keys
+        specs = (parse_spec("laplace"), parse_spec("gg:4"))
+        design = McDesign(specs, (3, 8), (0.05,), replicates=4,
+                          base_seed=2**40)
+        assert len(run_mc(design)) == 4 * 3
+        for di, spec in enumerate(specs):
+            for ni, n in enumerate(design.n_values):
+                rows = montecarlo._draw_block(design, (di, ni))[2]
+                expected = np.stack([sample(spec, n, [2**40, di, ni, r])
+                                     for r in range(4)])
+                assert rows.tobytes() == expected.tobytes()
+
 
 class TestCauchyHandling:
     def test_full_refused_proxy_allowed(self):
