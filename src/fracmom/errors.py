@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one check of input
-samples that every estimator, baseline and calibrator makes, and the row
-blocks their kernels run in."""
+samples that every estimator, baseline and calibrator makes, the check of
+integer arguments, and the row blocks their kernels run in."""
 
 import operator
 
