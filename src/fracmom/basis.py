@@ -80,7 +80,7 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
     the values and is returned; for a scalar xi it is a 0-d array, and the
     float is returned.  The values are the same bits either way.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # NaN fails too
         raise ValueError("epsilon must be >= 0")
     x = np.asarray(xi, dtype=float)
     if i == 1 or float(alpha) == 0.5:

@@ -20,7 +20,7 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
     g2_with_flag  # noqa: F401
 from .errors import AllGridDegenerate, DegenerateSample, SmallSample, \
-    row_blocks, sample_row
+    integer_value, row_blocks, sample_row
 from .estimators import estimate_full, estimate_full_grid  # noqa: F401
 from .moments import empirical_moments, moment_rows, \
     winsorize_rows  # noqa: F401
@@ -112,7 +112,7 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     then evaluated at every alpha; a resample with no usable ratio is
     skipped.
     """
-    if bootstrap_b < 0:
+    if integer_value(bootstrap_b, "bootstrap_b") < 0:
         raise ValueError("bootstrap_b must be >= 0")
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 30:
@@ -151,7 +151,7 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     variance is within 5% of the minimum.  The resamples are the rows of one
     matrix, estimated together over the whole grid.
     """
-    if bootstrap_b < 100:
+    if integer_value(bootstrap_b, "bootstrap_b") < 100:
         raise ValueError("bootstrap_b must be >= 100")
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size < 1:

@@ -23,6 +23,11 @@ _FAMILIES = ("gaussian", "laplace", "gg", "uniform", "beta", "cauchy",
              "arcsine", "triangular")
 
 
+def _positive(shape) -> bool:
+    # NaN fails both comparisons, and inf the second
+    return all(0.0 < s < math.inf for s in shape)
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """One member of the canonical distribution roster.
@@ -41,11 +46,13 @@ class DistributionSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "gg":
-            if len(self.shape) != 1 or self.shape[0] <= 0:
-                raise ValueError("gg requires one shape parameter beta > 0")
+            if len(self.shape) != 1 or not _positive(self.shape):
+                raise ValueError("gg requires one finite shape parameter "
+                                 "beta > 0")
         elif self.family == "beta":
-            if len(self.shape) != 2 or min(self.shape) <= 0:
-                raise ValueError("beta requires shape parameters a, b > 0")
+            if len(self.shape) != 2 or not _positive(self.shape):
+                raise ValueError("beta requires finite shape parameters "
+                                 "a, b > 0")
         elif self.shape:
             raise ValueError(f"{self.family} takes no shape parameters")
 
@@ -243,7 +250,7 @@ def make_rng(seed) -> np.random.Generator:
 
 def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """Draw n values; deterministic in (spec, n, seed)."""
-    if n < 1:
+    if integer_value(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return _draw(spec, make_rng(seed), n)
 
@@ -259,8 +266,9 @@ def sample_block(spec: DistributionSpec, n: int, prefix,
     reset to each row's key (block_keys) instead of being built from a new
     SeedSequence per row.
     """
-    if n < 1:
+    if integer_value(n, "n") < 1:
         raise ValueError("n must be >= 1")
+    replicates = integer_value(replicates, "replicates")
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer

@@ -281,10 +281,9 @@ def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:
     """estimate_proxy on every row of an (M, N) matrix at every alpha in
     alphas: one EstimateRows per alpha, in order.
 
-    The bracket search widens every row's bracket under a per-row mask, and
-    each row then runs its own Brent search (_brent) in lock-step with the
-    others, so one score evaluation per step serves every row still
-    searching.  Row r's result is estimate_proxy(samples[r], a) bit for bit
+    Each row runs its own search, bracket then Brent (_search), in
+    lock-step with the others, so one score evaluation per step serves every
+    row still searching.  Row r's result is estimate_proxy(samples[r], a) bit for bit
     whatever the other rows hold.  The rows run block by block (row_blocks),
     and what does not depend on alpha (every row's median, robust scale,
     tie smoothing and starting bracket, and the work array of the scores)
@@ -339,60 +338,28 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, grid: list,
     # array is not shared
     work = np.empty((2,) + x.shape)
     for a, p, res in zip(grid, ps, out):
-        # the widening doubles half in place, so each alpha takes a copy
-        _proxy_root(x, live, med, half.copy(), a,
-                    eps if p < 1.0 else None, work, res, b)
+        _proxy_root(x, live, med, half, a, eps if p < 1.0 else None, work,
+                    res, b)
 
 
 def _proxy_root(x: np.ndarray, live: np.ndarray, med: np.ndarray,
                 half: np.ndarray, a: float, eps: np.ndarray | None,
                 work: np.ndarray, res: EstimateRows, b: slice):
-    """The bracket and Brent searches of _proxy_block at one alpha, on the
-    block's live rows x (rows live of the block, rows b of the matrix), from
-    their medians med and starting half-widths half: fills the block's
-    estimates, iteration counts and errors in res."""
+    """The root searches of _proxy_block at one alpha, on the block's live
+    rows x (rows live of the block, rows b of the matrix), from their
+    medians med and starting half-widths half: fills the block's estimates,
+    iteration counts and errors in res.
+
+    Every row runs its own search (_search) in lock-step with the others:
+    every round sends each search the score of the point it yielded last
+    (None starts it) and scores the next points of those still going in one
+    call, whether they are still bracketing or already in Brent steps.
+    """
     p = second_exponent(a)
     theta, iters = res.theta_hat[b], res.outer_iters[b]
     errors, first = res.errors, b.start
-    ends = np.empty((2, live.size))
-    np.subtract(med, half, out=ends[0])
-    np.add(med, half, out=ends[1])
-    scores = np.empty((2, live.size))
-    for k in range(2):
-        scores[k] = _proxy_scores(x, ends[k], a, eps, work)
-    # score is strictly decreasing in mu, so a sign change must appear
-    # once the interval is wide enough; MAX_BRACKET_DOUBLINGS brackets
-    # are checked
-    searching = np.ones(live.size, dtype=bool)
-    for check in range(1, MAX_BRACKET_DOUBLINGS + 1):
-        wide = ~((scores[0] >= 0.0) & (0.0 >= scores[1]))
-        if not wide.any():
-            break
-        half[wide] *= 2.0
-        ends[:, wide] = med[wide] - half[wide], med[wide] + half[wide]
-        if check == MAX_BRACKET_DOUBLINGS:
-            for j in np.flatnonzero(wide):
-                errors[first + int(live[j])] = BracketFailure(
-                    f"no sign change in [{ends[0, j]}, {ends[1, j]}] "
-                    f"for p={p}")
-            searching = ~wide
-            break
-        xw, epsw = x[wide], _take(eps, wide)
-        for k in range(2):
-            scores[k, wide] = _proxy_scores(xw, ends[k, wide], a, epsw,
-                                            work[:, :len(xw)])
-
-    # the Brent searches of the bracketed rows in lock-step: every round
-    # sends each search the score of the point it yielded last (None
-    # starts it) and scores the next points of those still going in one
-    # call
-    lo, hi = ends.tolist()
-    s_lo, s_hi = scores.tolist()
-    searches = [(r, _brent(lo[j], hi[j], s_lo[j], s_hi[j]))
-                for j, r in enumerate(live.tolist()) if searching[j]]
-    if len(searches) < live.size:
-        x, eps = x[searching], _take(eps, searching)
-    work = work[:, :len(x)]
+    searches = [(r, _search(m, h, p))
+                for r, m, h in zip(live.tolist(), med.tolist(), half.tolist())]
     sent = [None] * len(searches)
     while searches:
         going, points = [], []
@@ -411,13 +378,29 @@ def _proxy_root(x: np.ndarray, live: np.ndarray, med: np.ndarray,
             searches = [sr for sr, g in zip(searches, going) if g]
             if not searches:
                 break
-            x, eps = x[going], _take(eps, going)
+            x = x[going]
+            if eps is not None:
+                eps = eps[going]
             work = work[:, :len(x)]
         sent = _proxy_scores(x, np.array(points), a, eps, work).tolist()
 
 
-def _take(eps, rows):
-    return None if eps is None else eps[rows]
+def _search(med: float, half: float, p: float):
+    """One row's proxy root search from its median med and starting
+    half-width half, as a generator that yields each point and is sent its
+    score, like _brent.  The score is strictly decreasing in mu, so a sign
+    change must appear once the bracket [med - half, med + half] is wide
+    enough: half doubles until it does, then _brent finds the root inside.
+    MAX_BRACKET_DOUBLINGS brackets are checked before BracketFailure."""
+    lo, hi = med - half, med + half
+    for _ in range(MAX_BRACKET_DOUBLINGS):
+        s_lo = yield lo
+        s_hi = yield hi
+        if s_lo >= 0.0 >= s_hi:
+            return (yield from _brent(lo, hi, s_lo, s_hi))
+        half *= 2.0
+        lo, hi = med - half, med + half
+    raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
 
 
 def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,

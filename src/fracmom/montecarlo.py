@@ -49,12 +49,12 @@ class McDesign:
     estimators: tuple[str, ...] = MC_ESTIMATORS
 
     def __post_init__(self):
-        if self.replicates < 1:
+        if integer_value(self.replicates, "replicates") < 1:
             raise ValueError("replicates must be >= 1")
         # the replicate keys are built from its uint32 words
         if integer_value(self.base_seed, "base_seed") < 0:
             raise ValueError("base_seed must be >= 0")
-        if any(n < 1 for n in self.n_values):
+        if any(integer_value(n, "n") < 1 for n in self.n_values):
             raise ValueError(f"every n must be >= 1, got {self.n_values}")
         unknown = [e for e in self.estimators if e not in MC_ESTIMATORS]
         if unknown:

@@ -188,3 +188,5 @@ class TestConfigs:
     def test_smoothing_validation(self):
         with pytest.raises(ValueError):
             basis_value(2, 0.0, 1.0, epsilon=-1.0)
+        with pytest.raises(ValueError):
+            basis_value(2, 0.0, 1.0, epsilon=math.nan)

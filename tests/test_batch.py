@@ -282,6 +282,21 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     brentq_proxy(x[3], alpha, widenings)
     assert (widenings[0] > 0) == (alpha >= 0.5)
     assert estimate_proxy_rows(x[3:4], alpha).ok.all()
+    # rows whose brackets widen 0 times, once, several times and until
+    # BracketFailure, so that rows still bracketing share score rounds with
+    # rows already in Brent steps
+    wide = np.repeat(laplace[None, :], 6, axis=0)
+    wide[:, 0] = (10.0, 30.0, 150.0, 5e3, 1e6, 1e100)
+    widenings = []
+    with np.errstate(all="ignore"):
+        for row in wide:
+            try:
+                brentq_proxy(row, alpha, widenings)
+            except BracketFailure:
+                widenings.append(None)
+    assert widenings[0] == 0 and 1 in widenings and widenings[-1] is None
+    assert max(w for w in widenings if w is not None) > 1
+    _assert_proxy_rows_match_brentq(wide, alpha)
 
 
 def _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas):

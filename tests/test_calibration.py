@@ -143,6 +143,14 @@ class TestPluginCalibration:
         with pytest.raises(ValueError, match="bootstrap_b must be >= 0"):
             calibrate_plugin(x, bootstrap_b=count)
 
+    def test_non_integer_bootstrap_refused(self):
+        # numpy used to raise a raw TypeError from the resample shape
+        x = sample(parse_spec("laplace"), 60, 1)
+        with pytest.raises(ValueError, match="bootstrap_b must be an integer"):
+            calibrate_plugin(x, bootstrap_b=2.5)
+        with pytest.raises(ValueError, match="bootstrap_b must be an integer"):
+            calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=150.5)
+
     def test_zero_bootstrap_reads_the_sample_alone(self):
         x = sample(parse_spec("laplace"), 60, 1)
         res = calibrate_plugin(x, bootstrap_b=0)

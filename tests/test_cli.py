@@ -205,6 +205,12 @@ class TestMcCommand:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not out.exists()
 
+    def test_non_finite_shape_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli_main(["mc", "--dist", "gg:nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["mc", "--alpha", "0.05", "--estimators", "ols"],
         ["baselines"],

@@ -118,6 +118,14 @@ class TestDesignValidation:
                 McDesign(laplace, n_values, (0.05,), replicates=10)
         McDesign(laplace, (1,), (0.05,), replicates=10)
 
+    @pytest.mark.parametrize("n_values, replicates", [
+        ((50,), 2.5), ((50,), "a"), ((2.5,), 10), ((50, True), 10)])
+    def test_counts_must_be_integers(self, n_values, replicates):
+        # run_mc used to fail on these with a raw TypeError from numpy
+        with pytest.raises(ValueError, match="must be an integer"):
+            McDesign((parse_spec("laplace"),), n_values, (0.05,),
+                     replicates=replicates)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, None])
     def test_base_seed_must_be_a_non_negative_int(self, seed):
         # -1, 1.5 and "a" used to fail only inside numpy, once run_mc drew
