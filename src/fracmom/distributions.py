@@ -23,11 +23,6 @@ _FAMILIES = ("gaussian", "laplace", "gg", "uniform", "beta", "cauchy",
              "arcsine", "triangular")
 
 
-def _positive(shape) -> bool:
-    # NaN fails both comparisons, and inf the second
-    return all(0.0 < s < math.inf for s in shape)
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     """One member of the canonical distribution roster.
@@ -46,11 +41,13 @@ class DistributionSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "gg":
-            if len(self.shape) != 1 or not _positive(self.shape):
+            # NaN fails both comparisons, and inf the second
+            if len(self.shape) != 1 or not 0.0 < self.shape[0] < math.inf:
                 raise ValueError("gg requires one finite shape parameter "
                                  "beta > 0")
         elif self.family == "beta":
-            if len(self.shape) != 2 or not _positive(self.shape):
+            if len(self.shape) != 2 \
+                    or not all(0.0 < s < math.inf for s in self.shape):
                 raise ValueError("beta requires finite shape parameters "
                                  "a, b > 0")
         elif self.shape:

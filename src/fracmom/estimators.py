@@ -283,11 +283,11 @@ def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:
 
     Each row runs its own search, bracket then Brent (_search), in
     lock-step with the others, so one score evaluation per step serves every
-    row still searching.  Row r's result is estimate_proxy(samples[r], a) bit for bit
-    whatever the other rows hold.  The rows run block by block (row_blocks),
-    and what does not depend on alpha (every row's median, robust scale,
-    tie smoothing and starting bracket, and the work array of the scores)
-    is computed once per block for the whole grid.
+    row still searching.  Row r's result is estimate_proxy(samples[r], a)
+    bit for bit whatever the other rows hold.  The rows run block by block
+    (row_blocks), and what does not depend on alpha (every row's median,
+    robust scale, tie smoothing and starting bracket, and the work array of
+    the scores) is computed once per block for the whole grid.
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]

@@ -144,7 +144,6 @@ class TestPluginCalibration:
             calibrate_plugin(x, bootstrap_b=count)
 
     def test_non_integer_bootstrap_refused(self):
-        # numpy used to raise a raw TypeError from the resample shape
         x = sample(parse_spec("laplace"), 60, 1)
         with pytest.raises(ValueError, match="bootstrap_b must be an integer"):
             calibrate_plugin(x, bootstrap_b=2.5)

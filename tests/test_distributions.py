@@ -64,13 +64,9 @@ class TestSpec:
             DistributionSpec("gauss")
         with pytest.raises(ValueError):
             DistributionSpec("laplace", (1.0,))
-
-    @pytest.mark.parametrize("name", ["gg:nan", "gg:inf", "gg:-inf",
-                                      "beta:nan:2", "beta:2:inf"])
-    def test_non_finite_shapes_refused(self, name):
-        # NaN used to pass the positivity check and sample NaN
-        with pytest.raises(ValueError, match="finite shape"):
-            parse_spec(name)
+        for name in ("gg:nan", "gg:inf", "beta:nan:2", "beta:2:inf"):
+            with pytest.raises(ValueError, match="finite shape"):
+                parse_spec(name)
 
     def test_flags(self):
         assert parse_spec("cauchy").infinite_variance
@@ -166,16 +162,12 @@ class TestSampling:
             sample(parse_spec("laplace"), 0, 1)
         with pytest.raises(ValueError):
             sample_block(parse_spec("laplace"), 0, (1,), 3)
-
-    @pytest.mark.parametrize("draw", [
-        lambda spec: sample(spec, 2.5, 1),
-        lambda spec: sample_block(spec, 2.5, (1,), 3),
-        lambda spec: sample_block(spec, 3, (1,), 2.5),
-    ], ids=["sample-n", "block-n", "block-replicates"])
-    def test_non_integer_counts_refused(self, draw):
-        # numpy used to raise a raw TypeError from the size argument
-        with pytest.raises(ValueError, match="must be an integer"):
-            draw(parse_spec("laplace"))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample(parse_spec("laplace"), 2.5, 1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_block(parse_spec("laplace"), 2.5, (1,), 3)
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            sample_block(parse_spec("laplace"), 3, (1,), 2.5)
 
 
 class TestSampleBlock:

@@ -121,7 +121,6 @@ class TestDesignValidation:
     @pytest.mark.parametrize("n_values, replicates", [
         ((50,), 2.5), ((50,), "a"), ((2.5,), 10), ((50, True), 10)])
     def test_counts_must_be_integers(self, n_values, replicates):
-        # run_mc used to fail on these with a raw TypeError from numpy
         with pytest.raises(ValueError, match="must be an integer"):
             McDesign((parse_spec("laplace"),), n_values, (0.05,),
                      replicates=replicates)
