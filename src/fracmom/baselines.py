@@ -33,14 +33,16 @@ def median_rows(x: np.ndarray) -> np.ndarray:
     # below the kth, which is the (k - 1)-th order statistic bit for bit.  A
     # NaN sorts above every number, so a row holding one has it at or after
     # the kth, where the largest value of the upper part finds it.
-    part = np.partition(x, k, axis=-1)
+    part = x.copy()  # np.partition's copy, without its wrapper
+    part.partition(k)
     if n % 2:
+        top = np.maximum.reduce(part[:, k:], axis=-1)
         mid = part[:, k] + 0.0
     else:
-        lower = np.maximum.reduce(part[:, :k], axis=-1)
+        # the largest values below and from the kth, in one reduction
+        lower, top = np.maximum.reduceat(part, [0, k], axis=-1).T
         mid = (lower + part[:, k]) / 2.0 + 0.0
-    nan = np.isnan(np.maximum.reduce(part[:, k:], axis=-1))
-    np.copyto(mid, np.nan, where=nan)
+    mid[np.isnan(top)] = np.nan
     return mid
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import real_value
+
 # Half-width of the protected interval around alpha = 1/2.  The estimator
 # falls back to the sample mean inside the narrow band; curve sweeps exclude
 # the wider one because the weight system degrades well before the collapse.
@@ -21,7 +23,7 @@ SWEEP_BAND = 0.05
 
 def alpha_value(alpha) -> float:
     """Coerce alpha to float; enforce the [0, 1] range."""
-    a = float(alpha)
+    a = real_value(alpha, "alpha")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {a}")
     return a
@@ -87,29 +89,30 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
         # member 1 is the identity, and every member collapses to it at the
         # midpoint; return xi itself so the identity is exact, not 1-ulp off
         if out is None:
-            return x if np.ndim(xi) else float(xi)
+            return x if x.ndim else float(xi)
         np.copyto(out, x)
-        return out if np.ndim(xi) else float(out)
+        return out if x.ndim else float(out)
     p = exponent(i, alpha)
     # one array per call, written in place: the proxy calls this once per
     # score evaluation, and at large N fresh arrays cost page faults.  Every
-    # form reads x after writing v, so v must not be x
+    # form reads x after writing v, so v must not be x.  The ufuncs take
+    # their out arrays by position, which numpy parses faster than keywords
     v = np.empty_like(x) if out is None else out
     if epsilon > 0.0 and p < 1.0:
-        np.multiply(x, x, out=v)
+        np.multiply(x, x, v)
         v += epsilon**2
-        np.power(v, 0.5 * p, out=v)
-        np.multiply(np.sign(x), v, out=v)
+        np.power(v, 0.5 * p, v)
+        np.multiply(np.sign(x), v, v)
     elif p < 0.0:
         # members i >= 6 have negative exponents near alpha ~ 0.15, where
         # |0|**p is inf and sign(0) * inf would be NaN
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.abs(x, out=v)
-            np.power(v, p, out=v)
-            np.multiply(np.sign(x), v, out=v)
+            np.abs(x, v)
+            np.power(v, p, v)
+            np.multiply(np.sign(x), v, v)
         v[x == 0.0] = 0.0
     else:
-        np.abs(x, out=v)
-        np.power(v, p, out=v)
-        np.copysign(v, x, out=v)
-    return v if np.ndim(xi) else float(v)
+        np.abs(x, v)
+        np.power(v, p, v)
+        np.copysign(v, x, v)
+    return v if x.ndim else float(v)

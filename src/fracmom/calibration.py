@@ -20,7 +20,7 @@ from .distributions import DistributionSpec, make_rng, shape_summary
 from .efficiency import G2Curve, alpha_grid, g2_rows, g2_sweep, \
     g2_with_flag  # noqa: F401
 from .errors import AllGridDegenerate, DegenerateSample, SmallSample, \
-    integer_value, row_blocks, sample_row
+    float_array, integer_value, row_blocks, sample_row
 from .estimators import estimate_full, estimate_full_grid  # noqa: F401
 from .moments import empirical_moments, moment_rows, \
     winsorize_rows  # noqa: F401
@@ -114,7 +114,8 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 0:
         raise ValueError("bootstrap_b must be >= 0")
-    x = np.asarray(sample, dtype=float).ravel()
+    integer_value(seed, "seed")
+    x = float_array(sample).ravel()
     if x.size < 30:
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
     x = sample_row(x)[0]
@@ -153,7 +154,8 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 100:
         raise ValueError("bootstrap_b must be >= 100")
-    alphas = np.asarray(alphas, dtype=float)
+    integer_value(seed, "seed")
+    alphas = float_array(alphas, "alphas")
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     x = sample_row(sample)[0]
@@ -199,7 +201,7 @@ def silverman_bandwidth(resid: np.ndarray) -> float:
 def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     """Plug-in differential entropy via Epanechnikov KDE, plus the derived
     entropy coefficient k = exp(H)/(2*sd) and contrexcess."""
-    resid = np.asarray(residuals, dtype=float).ravel()
+    resid = float_array(residuals).ravel()
     if resid.size < 100:
         raise SmallSample(f"entropy diagnostic needs N >= 100, got {resid.size}")
     resid = sample_row(resid)[0]

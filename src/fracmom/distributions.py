@@ -9,6 +9,7 @@ but anything needing a variance refuses with NonFiniteMoment.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,6 +41,11 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if not isinstance(self.shape, tuple) or not all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool)
+                for s in self.shape):
+            raise ValueError(f"shape must be a tuple of real numbers, got "
+                             f"{self.shape!r}")
         if self.family == "gg":
             # NaN fails both comparisons, and inf the second
             if len(self.shape) != 1 or not 0.0 < self.shape[0] < math.inf:
@@ -241,7 +247,12 @@ def parse_spec(text: str, standardized: bool = True) -> DistributionSpec:
 # ---------------------------------------------------------------------------
 
 def make_rng(seed) -> np.random.Generator:
-    """Counter-based generator; seed may be an int or a sequence of ints."""
+    """Counter-based generator; seed may be a non-negative int or a
+    sequence of them.  Raises ValueError for anything else."""
+    if np.ndim(seed):
+        seed = [integer_value(word, "a seed") for word in seed]
+    else:
+        seed = integer_value(seed, "a seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec
 from .errors import DegenerateRatio, NonFiniteMoment, \
-    NonPositiveDenominator, SingularSystem
+    NonPositiveDenominator, SingularSystem, real_value
 from .moments import FractionalMomentSet, MomentRows, abs_moment, \
     theoretical_set
 # theoretical_moments is no longer called here; perfbench/tracer.py binds it
@@ -193,6 +193,8 @@ def alpha_grid(grid_step: float, band: float) -> np.ndarray:
     """Regular grid on [0, 1] with |alpha - 1/2| < band removed.  Raises
     ValueError for a band that is not finite, is negative, or leaves no
     grid point; band 0 keeps alpha = 1/2."""
+    grid_step = real_value(grid_step, "grid_step")
+    band = real_value(band, "band")
     if not 0.0 < grid_step <= 0.25:
         raise ValueError("grid_step must lie in (0, 0.25]")
     n = int(round(1.0 / grid_step))

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one check of input
-samples that every estimator, baseline and calibrator makes, the check of
-integer arguments, and the row blocks their kernels run in."""
+samples that every estimator, baseline and calibrator makes, the checks of
+integer and real arguments, and the row blocks their kernels run in."""
 
 import operator
 
@@ -56,10 +56,24 @@ _NON_FINITE = "sample contains NaN or infinite values"
 BLOCK_ELEMENTS = 2**16
 
 
+def float_array(values, what: str = "samples") -> np.ndarray:
+    """values as an array of floats.  Raises ValueError where they are not
+    real numbers, complex arrays included, whose imaginary parts numpy
+    would drop."""
+    dtype = getattr(values, "dtype", None)
+    if dtype is None or dtype.kind != "c":
+        try:
+            return np.asarray(values, dtype=float)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be real numbers")
+
+
 def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     """The (M, N) sample matrix as floats, and which of its rows are all
-    finite.  Raises ValueError for a matrix that is not 2-D or is empty."""
-    x = np.asarray(samples, dtype=float)
+    finite.  Raises ValueError for a matrix that is not 2-D or is empty, or
+    whose entries are not real numbers."""
+    x = float_array(samples)
     if x.ndim != 2:
         raise ValueError("samples must be an (M, N) array")
     rows, n = x.shape
@@ -86,7 +100,7 @@ def sample_row(sample) -> np.ndarray:
     """One sample of any shape, flattened to a (1, N) row of floats.
     Raises ValueError when it is empty and NonFiniteInput when it holds
     NaN or inf."""
-    x, finite = sample_rows(np.asarray(sample, dtype=float).reshape(1, -1))
+    x, finite = sample_rows(float_array(sample).reshape(1, -1))
     if not finite[0]:
         raise NonFiniteInput(_NON_FINITE)
     return x
@@ -103,10 +117,20 @@ def integer_value(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def real_value(value, what: str) -> float:
+    """value as a float, for a real number; ValueError for anything float()
+    refuses."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a real number, got {value!r}") \
+            from None
+
+
 def non_finite_errors(finite: np.ndarray) -> dict[int, Exception]:
     """A NonFiniteInput for every row that ``finite`` marks False, keyed by
     row index, in row order."""
-    if finite.all():
+    if np.count_nonzero(finite) == finite.size:
         return {}
     return {r: NonFiniteInput(_NON_FINITE)
             for r in np.flatnonzero(~finite).tolist()}

@@ -19,7 +19,7 @@ from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
 # perfbench/tracer.py binds them through this module
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
 from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
-    non_finite_errors, row_blocks, sample_rows
+    float_array, non_finite_errors, row_blocks, sample_rows
 from .moments import MomentRows, moment_rows, moment_sums
 from .moments import empirical_moments  # noqa: F401
 
@@ -89,23 +89,32 @@ class EstimateRows:
 _RESULT_FIELDS = tuple(f.name for f in fields(EstimateResult))
 
 
-def _robust_scale(x: np.ndarray, med: np.ndarray) -> np.ndarray:
-    # MAD along the last axis about its median med, 1 where it is 0
+def _mad(x: np.ndarray, med: np.ndarray) -> np.ndarray:
+    # MAD along the last axis about its median med; the deviations are
+    # freed on return
     dev = x - med[..., None]
-    mad = median_rows(np.abs(dev, out=dev))
+    return median_rows(np.abs(dev, out=dev))
+
+
+def _robust_scale(mad: np.ndarray) -> np.ndarray:
+    # the MAD, 1 where it is 0
     return np.where(mad > 0.0, mad, 1.0)[()]
 
 
-def _tie_smoothing(x: np.ndarray, center, scale) -> np.ndarray:
-    # two or more residuals exactly at zero trigger the smoothing scale
-    ties = np.add.reduce(x == center, axis=-1)
-    return np.where(ties >= 2, 1e-6 * scale, 0.0)[()]
+def _tied(x: np.ndarray, center) -> np.ndarray:
+    # the rows with two or more residuals exactly at zero, which take the
+    # smoothing scale
+    return np.add.reduce(x == center, axis=-1) >= 2
+
+
+def _tie_smoothing(tied: np.ndarray, scale) -> np.ndarray:
+    return np.where(tied, 1e-6 * scale, 0.0)[()]
 
 
 def estimate_ols(sample) -> EstimateResult:
     """Sample mean, tagged as the baseline/fallback method: the batch of one
     of estimate_full_grid's mean route."""
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    x = float_array(sample).reshape(1, -1)
     return estimate_full_grid(x, (0.5,))[0].result(0)
 
 
@@ -118,7 +127,7 @@ def estimate_full(sample, alpha) -> EstimateResult:
     weight system is singular/ill-conditioned and to the mean inside the
     protected alpha band.  The batch of one of estimate_full_grid.
     """
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    x = float_array(sample).reshape(1, -1)
     return estimate_full_grid(x, (alpha,))[0].result(0)
 
 
@@ -178,9 +187,10 @@ def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray, ps):
     about the mean at every exponent in ps."""
     rows, n = x.shape
     with np.errstate(all="ignore"):  # failed rows compute on garbage
-        scale = _robust_scale(x, median_rows(x))
+        scale = _robust_scale(_mad(x, median_rows(x)))
         center = mean[:, None]
-        floor = np.maximum(1e-12 * scale, _tie_smoothing(x, center, scale))
+        floor = np.maximum(1e-12 * scale,
+                           _tie_smoothing(_tied(x, center), scale))
         fl = floor[:, None]
         sums = moment_sums(x, center, ps, fl)
         firsts = [MomentRows(p, s / n) for p, s in zip(ps, sums)]
@@ -267,7 +277,7 @@ def estimate_proxy(sample, alpha) -> EstimateResult:
     bracketing.  Valid for any finite sample, including infinite-variance
     noise, since it needs no moment matrix.  The batch of one of
     estimate_proxy_rows."""
-    x = np.asarray(sample, dtype=float).reshape(1, -1)
+    x = float_array(sample).reshape(1, -1)
     return estimate_proxy_rows(x, alpha).result(0)
 
 
@@ -287,17 +297,28 @@ def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:
     bit for bit whatever the other rows hold.  The rows run block by block
     (row_blocks), and what does not depend on alpha (every row's median,
     robust scale, tie smoothing and starting bracket, and the work array of
-    the scores) is computed once per block for the whole grid.
+    the scores) is computed once per block for the whole grid.  Each field
+    of the results is one array for the whole grid, one row per alpha.
     """
     x, finite = sample_rows(samples)
     rows = x.shape[0]
     grid = [alpha_value(a) for a in alphas]
-    out = [EstimateRows(np.empty(rows),
-                        np.full(rows, METHOD_PROXY, dtype=object),
-                        np.zeros(rows, dtype=int), np.zeros(rows),
-                        np.full(rows, math.nan), np.full(rows, math.nan),
-                        np.ones(rows, dtype=bool), non_finite_errors(finite))
-           for _ in grid]
+    k = len(grid)
+    theta = np.empty((k, rows))
+    iters = np.zeros((k, rows), dtype=int)
+    final_step = np.zeros((k, rows))
+    # filled in place: np.full and np.ones cost more than the arrays here
+    method = np.empty((k, rows), dtype=object)
+    method.fill(METHOD_PROXY)
+    nans = np.empty((2, k, rows))
+    nans.fill(math.nan)
+    cond, det = nans
+    converged = np.empty((k, rows), dtype=bool)
+    converged.fill(True)
+    out = [EstimateRows(theta[j], method[j], iters[j], final_step[j],
+                        cond[j], det[j], converged[j],
+                        non_finite_errors(finite))
+           for j in range(k)]
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for b in row_blocks(*x.shape):
             _proxy_block(x[b], finite[b], grid, out, b)
@@ -315,74 +336,100 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, grid: list,
     med = median_rows(x)
     for res in out:
         res.theta_hat[b] = med
-    # a constant row's root is its value, which the median already holds
-    live = np.flatnonzero(finite & (x.max(axis=1) != x.min(axis=1)))
-    if live.size < x.shape[0]:
+    mad = _mad(x, med)
+    # a constant row's root is its value, which the median already holds.
+    # A row whose MAD is positive and finite is not constant (a constant row
+    # has an infinite MAD where its median overflows), so only the other
+    # finite rows are compared with their extremes
+    live = finite & (mad > 0.0) & (mad < math.inf)
+    if np.count_nonzero(live) < live.size:
+        flat = (finite & ~live).nonzero()[0]
+        live[flat] = x[flat].max(axis=1) != x[flat].min(axis=1)
+        live = live.nonzero()[0]
         if live.size == 0:
             return
         x, med = x[live], med[live]
-    scale = _robust_scale(x, med)
+        scale = _robust_scale(mad[live])
+        rows = (b.start + live).tolist()
+    else:
+        # every MAD is positive, so it is the robust scale
+        scale = mad
+        rows = list(range(b.start, b.stop))
     ps = [second_exponent(a) for a in grid]
     # each row's tie smoothing, or None where no row uses one; only p < 1
     # smooths
     eps = None
     if any(p < 1.0 for p in ps):
-        eps = _tie_smoothing(x, med[:, None], scale)
-        if not (eps > 0.0).any():
-            eps = None
-    half = BRACKET_EXPANSION * np.maximum(scale,
-                                          1e-8 * (1.0 + np.abs(med)))
+        tied = _tied(x, med[:, None])
+        if np.count_nonzero(tied):
+            eps = _tie_smoothing(tied, scale)
+    # each row's median and starting half-width, in Python floats: the
+    # same IEEE arithmetic, and each search takes its floats anyway
+    starts = [(m, BRACKET_EXPANSION * max(s, 1e-8 * (1.0 + abs(m))))
+              for m, s in zip(med.tolist(), scale.tolist())]
     # every score evaluation writes its residuals and basis values into one
     # work array per block, so that no score allocates them: at large N
     # fresh arrays cost page faults.  Calls may run in threads, so the
     # array is not shared
     work = np.empty((2,) + x.shape)
     for a, p, res in zip(grid, ps, out):
-        _proxy_root(x, live, med, half, a, eps if p < 1.0 else None, work,
-                    res, b)
+        _proxy_root(x, rows, starts, a, p, eps if p < 1.0 else None, work,
+                    res)
 
 
-def _proxy_root(x: np.ndarray, live: np.ndarray, med: np.ndarray,
-                half: np.ndarray, a: float, eps: np.ndarray | None,
-                work: np.ndarray, res: EstimateRows, b: slice):
-    """The root searches of _proxy_block at one alpha, on the block's live
-    rows x (rows live of the block, rows b of the matrix), from their
-    medians med and starting half-widths half: fills the block's estimates,
-    iteration counts and errors in res.
+def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
+                p: float, eps: np.ndarray | None, work: np.ndarray,
+                res: EstimateRows):
+    """The root searches of _proxy_block at one alpha, of exponent p, on
+    the block's live rows x, which are the rows of the matrix that rows
+    lists, from their (median, starting half-width) pairs starts: fills
+    their estimates, iteration counts and errors in res.
 
     Every row runs its own search (_search) in lock-step with the others:
     every round sends each search the score of the point it yielded last
-    (None starts it) and scores the next points of those still going in one
-    call, whether they are still bracketing or already in Brent steps.
+    (None starts it) and scores the next points of those still going with
+    one basis_value call, whether they are still bracketing or already in
+    Brent steps.  work's two slabs take the residuals and basis values.
     """
-    p = second_exponent(a)
-    theta, iters = res.theta_hat[b], res.outer_iters[b]
-    errors, first = res.errors, b.start
-    searches = [(r, _search(m, h, p))
-                for r, m, h in zip(live.tolist(), med.tolist(), half.tolist())]
-    sent = [None] * len(searches)
-    while searches:
-        going, points = [], []
-        for (r, search), score in zip(searches, sent):
+    theta, iters, errors = res.theta_hat, res.outer_iters, res.errors
+    sends = [_search(m, h, p).send for m, h in starts]
+    points = [None] * len(sends)
+    scores = points[:]
+    xi, v = work
+    while True:
+        ended = []
+        for i, send in enumerate(sends):
             try:
-                points.append(search.send(score))
+                points[i] = send(scores[i])
             except StopIteration as stop:
-                theta[r], iters[r] = stop.value
-                going.append(False)
+                theta[rows[i]], iters[rows[i]] = stop.value
+                ended.append(i)
             except FracmomError as exc:
-                errors[first + r] = exc
-                going.append(False)
-            else:
-                going.append(True)
-        if not all(going):
-            searches = [sr for sr, g in zip(searches, going) if g]
-            if not searches:
-                break
+                errors[rows[i]] = exc
+                ended.append(i)
+        if ended:
+            if len(ended) == len(sends):
+                return
+            going = np.ones(len(sends), dtype=bool)
+            going[ended] = False
+            keep = going.nonzero()[0].tolist()
+            sends = [sends[i] for i in keep]
+            points = [points[i] for i in keep]
+            rows = [rows[i] for i in keep]
             x = x[going]
             if eps is not None:
                 eps = eps[going]
-            work = work[:, :len(x)]
-        sent = _proxy_scores(x, np.array(points), a, eps, work).tolist()
+            xi, v = xi[:len(x)], v[:len(x)]
+        # each row's score sum_j basis_value(2, a, x[r, j] - mu, eps[r]) at
+        # its point mu, with the residuals and basis values in the work
+        # array so that no score allocates them; eps None stands for 0 in
+        # every row
+        np.subtract(x, np.array(points)[:, None], xi)
+        basis_value(2, a, xi, out=v)
+        if eps is not None:
+            for r in (eps > 0.0).nonzero()[0].tolist():
+                basis_value(2, a, xi[r], eps[r], out=v[r])
+        scores = np.add.reduce(v, -1).tolist()
 
 
 def _search(med: float, half: float, p: float):
@@ -401,21 +448,6 @@ def _search(med: float, half: float, p: float):
         half *= 2.0
         lo, hi = med - half, med + half
     raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
-
-
-def _proxy_scores(x: np.ndarray, mu: np.ndarray, a: float,
-                  eps: np.ndarray | None, work: np.ndarray) -> np.ndarray:
-    """The proxy score sum_j basis_value(2, a, x[r, j] - mu[r], eps[r]) of
-    every row r of x at its point mu[r]; eps None stands for 0 in every
-    row.  work, of shape (2,) + x.shape, takes the residuals in its first
-    slab and the basis values in its second, so that no score allocates
-    them."""
-    xi = np.subtract(x, mu[:, None], out=work[0])
-    v = basis_value(2, a, xi, out=work[1])
-    if eps is not None:
-        for r in np.flatnonzero(eps > 0.0):
-            basis_value(2, a, xi[r], eps[r], out=v[r])
-    return np.add.reduce(v, axis=-1)
 
 
 def _brent(xpre: float, xcur: float, fpre: float, fcur: float):

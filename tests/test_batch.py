@@ -53,7 +53,7 @@ from fracmom.baselines import baseline_rows, median_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
-from fracmom import errors
+from fracmom import errors, estimators
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
     _brent, estimate_full_grid, estimate_proxy_grid, estimate_proxy_rows
 from fracmom.moments import winsorize_rows
@@ -297,6 +297,49 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     assert widenings[0] == 0 and 1 in widenings and widenings[-1] is None
     assert max(w for w in widenings if w is not None) > 1
     _assert_proxy_rows_match_brentq(wide, alpha)
+    # a row whose MAD is 0 need not be constant: 60 equal values and one
+    # other, and 31 against 30, must search; the constant rows keep their
+    # medians with 0 iterations, also where the median of an even count of
+    # equal values overflows to inf and with it the MAD
+    flat = np.array([[0.0] * 60 + [1.0], [5.0] * 31 + [-2.0] * 30,
+                     np.full(61, -2.5)])
+    _assert_proxy_rows_match_brentq(flat, alpha)
+    rows = estimate_proxy_rows(flat, alpha)
+    assert rows.ok.all() and (rows.outer_iters[:2] > 0).all()
+    assert (rows.theta_hat[2], rows.outer_iters[2]) == (-2.5, 0)
+    huge = np.array([np.full(4, 1e308), np.full(4, -1e308)])
+    _assert_proxy_rows_match_brentq(huge, alpha)
+    rows = estimate_proxy_rows(huge, alpha)
+    assert rows.theta_hat.tolist() == [math.inf, -math.inf]
+    assert rows.outer_iters.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.95, 1.0])
+@pytest.mark.parametrize("outlier", [None, 1e3])
+def test_one_basis_call_per_search_point(monkeypatch, alpha, outlier):
+    """A one-row proxy call on a tie-free sample scores each point its
+    search yields with one basis_value call: two per bracket tried and one
+    per Brent step taken, which is one fewer than the iterations brentq
+    counts, since its last iteration takes no step."""
+    x = sample(parse_spec("laplace"), 100, 19)
+    if outlier is not None:
+        x[0] = outlier
+    assert np.unique(x).size == x.size
+    widenings = []
+    brentq_proxy(x, alpha, widenings)
+    calls = []
+    real = estimators.basis_value
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "basis_value", counted)
+    res = estimate_proxy(x, alpha)
+    assert (widenings[0] > 0) == (outlier is not None and alpha >= 0.5)
+    assert res.outer_iters > 1
+    assert len(calls) == 2 * (widenings[0] + 1) + res.outer_iters - 1
+    assert set(calls) == {(1, x.size)}
 
 
 def _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas):

@@ -67,6 +67,11 @@ class TestSpec:
         for name in ("gg:nan", "gg:inf", "beta:nan:2", "beta:2:inf"):
             with pytest.raises(ValueError, match="finite shape"):
                 parse_spec(name)
+        for family, shape in (("gg", ("2",)), ("beta", ("2", 5.0)),
+                              ("gg", (None,)), ("gg", 2.0), ("gg", [2.0]),
+                              ("gg", (True,))):
+            with pytest.raises(ValueError, match="tuple of real numbers"):
+                DistributionSpec(family, shape)
 
     def test_flags(self):
         assert parse_spec("cauchy").infinite_variance
@@ -168,6 +173,19 @@ class TestSampling:
             sample_block(parse_spec("laplace"), 2.5, (1,), 3)
         with pytest.raises(ValueError, match="replicates must be an integer"):
             sample_block(parse_spec("laplace"), 3, (1,), 2.5)
+
+    def test_invalid_seed(self):
+        spec = parse_spec("laplace")
+        for seed in (1.5, None, "1", True, [1, 2.5], [[1]]):
+            with pytest.raises(ValueError, match="a seed must be an integer"):
+                sample(spec, 3, seed)
+        with pytest.raises(ValueError):
+            sample(spec, 3, -1)
+        # numpy integers and arrays of them seed as the ints they hold
+        assert sample(spec, 3, np.int64(5)).tobytes() == \
+            sample(spec, 3, 5).tobytes()
+        assert sample(spec, 3, np.array([1, 2])).tobytes() == \
+            sample(spec, 3, [1, 2]).tobytes()
 
 
 class TestSampleBlock:

@@ -10,17 +10,21 @@ from fracmom import (
     BracketFailure,
     NonFiniteInput,
     NonFiniteMoment,
+    alpha_grid,
+    calibrate_grid_mc,
     empirical_moments,
     build_correlant_system,
     estimate_full,
     estimate_ols,
     estimate_proxy,
+    g2_sweep,
+    huber_location,
     parse_spec,
     run_baseline,
     sample,
     second_exponent,
 )
-from fracmom.estimators import TOL, estimate_full_grid
+from fracmom.estimators import TOL, estimate_full_grid, estimate_proxy_grid
 
 ALPHAS = (0.05, 0.30, 0.70, 0.95)
 
@@ -42,6 +46,29 @@ class TestOls:
     def test_empty_sample(self):
         with pytest.raises(ValueError):
             estimate_ols([])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: estimate_full(x, None),
+    lambda x: estimate_full(x, "a"),
+    lambda x: estimate_proxy(x, [0.1]),
+    lambda x: estimate_proxy_grid(x[None, :], (0.1, None)),
+    lambda x: estimate_ols([1 + 2j, 3.0]),
+    lambda x: estimate_proxy(x.astype(complex), 0.1),
+    lambda x: huber_location([1 + 2j, 3.0]),
+    lambda x: run_baseline("median", {"a": 1}),
+    lambda x: alpha_grid(None, 0.05),
+    lambda x: alpha_grid(0.05, "a"),
+    lambda x: g2_sweep(parse_spec("laplace"), 0.05, None),
+    lambda x: calibrate_grid_mc(x, (0.05, 1j), bootstrap_b=100),
+], ids=["full-alpha-None", "full-alpha-str", "proxy-alpha-list",
+        "grid-alpha-None", "ols-complex", "proxy-complex-array",
+        "huber-complex", "baseline-dict", "grid-step-None", "band-str",
+        "sweep-band-None", "grid-mc-complex-alphas"])
+def test_bad_argument_types_raise_value_error(call):
+    # a raw TypeError would escape the documented refusals
+    with pytest.raises(ValueError):
+        call(sample(parse_spec("laplace"), 40, 3))
 
     def test_mean_of_finite_values_near_the_float_limit(self):
         # their sum overflows; the mean of a finite sample must not
