@@ -130,6 +130,8 @@ def real_value(value, what: str) -> float:
 def non_finite_errors(finite: np.ndarray) -> dict[int, Exception]:
     """A NonFiniteInput for every row that ``finite`` marks False, keyed by
     row index, in row order."""
+    # count_nonzero, not finite.all(): a C call where all() goes through
+    # numpy's Python wrapper, at every estimator call
     if np.count_nonzero(finite) == finite.size:
         return {}
     return {r: NonFiniteInput(_NON_FINITE)

@@ -149,14 +149,12 @@ class TestPluginCalibration:
             calibrate_plugin(x, bootstrap_b=2.5)
         with pytest.raises(ValueError, match="bootstrap_b must be an integer"):
             calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=150.5)
-
-    @pytest.mark.parametrize("seed", [1.5, None, "1", True, [1, 2]])
-    def test_non_integer_seed_refused(self, seed):
-        x = sample(parse_spec("laplace"), 60, 1)
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            calibrate_plugin(x, seed=seed)
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=100, seed=seed)
+        for seed in (1.5, None, "1", True, [1, 2]):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                calibrate_plugin(x, seed=seed)
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=100,
+                                  seed=seed)
 
     def test_zero_bootstrap_reads_the_sample_alone(self):
         x = sample(parse_spec("laplace"), 60, 1)

@@ -173,8 +173,6 @@ class TestSampling:
             sample_block(parse_spec("laplace"), 2.5, (1,), 3)
         with pytest.raises(ValueError, match="replicates must be an integer"):
             sample_block(parse_spec("laplace"), 3, (1,), 2.5)
-
-    def test_invalid_seed(self):
         spec = parse_spec("laplace")
         for seed in (1.5, None, "1", True, [1, 2.5], [[1]]):
             with pytest.raises(ValueError, match="a seed must be an integer"):

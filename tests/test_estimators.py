@@ -47,6 +47,16 @@ class TestOls:
         with pytest.raises(ValueError):
             estimate_ols([])
 
+    def test_mean_of_finite_values_near_the_float_limit(self):
+        # their sum overflows; the mean of a finite sample must not
+        x = [1e308, 1e308, 1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = (estimate_ols(x).theta_hat,
+                     estimate_full(x, 0.5).theta_hat, run_baseline("mean", x))
+        for m in means:
+            assert math.isfinite(m) and min(x) <= m <= max(x)
+
 
 @pytest.mark.parametrize("call", [
     lambda x: estimate_full(x, None),
@@ -69,16 +79,6 @@ def test_bad_argument_types_raise_value_error(call):
     # a raw TypeError would escape the documented refusals
     with pytest.raises(ValueError):
         call(sample(parse_spec("laplace"), 40, 3))
-
-    def test_mean_of_finite_values_near_the_float_limit(self):
-        # their sum overflows; the mean of a finite sample must not
-        x = [1e308, 1e308, 1.5e308]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            means = (estimate_ols(x).theta_hat,
-                     estimate_full(x, 0.5).theta_hat, run_baseline("mean", x))
-        for m in means:
-            assert math.isfinite(m) and min(x) <= m <= max(x)
 
 
 class TestFullEstimator:
