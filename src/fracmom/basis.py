@@ -92,7 +92,9 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
             return x if x.ndim else float(xi)
         np.copyto(out, x)
         return out if x.ndim else float(out)
-    p = exponent(i, alpha)
+    # p_2 is second_exponent bit for bit, at a third of exponent's cost: the
+    # proxy calls this once per score evaluation
+    p = second_exponent(alpha) if i == 2 else exponent(i, alpha)
     # one array per call, written in place: the proxy calls this once per
     # score evaluation, and at large N fresh arrays cost page faults.  Every
     # form reads x after writing v, so v must not be x.  The ufuncs take

@@ -51,6 +51,11 @@ class TestExponent:
         for a in np.linspace(0.0, 1.0, 11):
             assert exponent(2, a) == pytest.approx(second_exponent(a), abs=0)
 
+    @given(st.floats(-1e3, 1e3))
+    def test_second_exponent_is_exponent_2_bit_for_bit(self, a):
+        # basis_value takes p_2 from second_exponent
+        assert exponent(2, a) == second_exponent(a)
+
     def test_bad_index(self):
         with pytest.raises(ValueError):
             exponent(0, 0.3)
