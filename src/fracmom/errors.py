@@ -58,10 +58,11 @@ BLOCK_ELEMENTS = 2**16
 
 def float_array(values, what: str = "samples") -> np.ndarray:
     """values as an array of floats.  Raises ValueError where they are not
-    real numbers, complex arrays included, whose imaginary parts numpy
+    real numbers, complex values included, whose imaginary parts numpy
     would drop."""
-    dtype = getattr(values, "dtype", None)
-    if dtype is None or dtype.kind != "c":
+    if not hasattr(values, "dtype"):  # a list: numpy finds its type first
+        values = np.asarray(values)
+    if values.dtype.kind != "c":
         try:
             return np.asarray(values, dtype=float)
         except TypeError:

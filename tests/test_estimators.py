@@ -65,6 +65,7 @@ class TestOls:
     lambda x: estimate_proxy_grid(x[None, :], (0.1, None)),
     lambda x: estimate_ols([1 + 2j, 3.0]),
     lambda x: estimate_proxy(x.astype(complex), 0.1),
+    lambda x: estimate_proxy([np.complex128(1 + 2j), 3.0], 0.1),
     lambda x: huber_location([1 + 2j, 3.0]),
     lambda x: run_baseline("median", {"a": 1}),
     lambda x: alpha_grid(None, 0.05),
@@ -73,6 +74,7 @@ class TestOls:
     lambda x: calibrate_grid_mc(x, (0.05, 1j), bootstrap_b=100),
 ], ids=["full-alpha-None", "full-alpha-str", "proxy-alpha-list",
         "grid-alpha-None", "ols-complex", "proxy-complex-array",
+        "proxy-complex-scalars",
         "huber-complex", "baseline-dict", "grid-step-None", "band-str",
         "sweep-band-None", "grid-mc-complex-alphas"])
 def test_bad_argument_types_raise_value_error(call):
