@@ -393,8 +393,11 @@ def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
     """
     theta, iters, errors = res.theta_hat, res.outer_iters, res.errors
     sends = [_search(m, h, p).send for m, h in starts]
-    points = [None] * len(sends)
-    scores = points[:]
+    scores = [None] * len(sends)
+    # each row's next point, a column for the scores' subtraction, written
+    # in place: cheaper than building it from a list every round
+    mu = np.empty((len(sends), 1))
+    points = mu[:, 0]
     xi, v = work
     while True:
         ended = []
@@ -414,8 +417,9 @@ def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
             going[ended] = False
             keep = going.nonzero()[0].tolist()
             sends = [sends[i] for i in keep]
-            points = [points[i] for i in keep]
             rows = [rows[i] for i in keep]
+            mu = mu[going]
+            points = mu[:, 0]
             x = x[going]
             if eps is not None:
                 eps = eps[going]
@@ -424,7 +428,7 @@ def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
         # its point mu, with the residuals and basis values in the work
         # array so that no score allocates them; eps None stands for 0 in
         # every row
-        np.subtract(x, np.array(points)[:, None], xi)
+        np.subtract(x, mu, xi)
         basis_value(2, a, xi, out=v)
         if eps is not None:
             for r in (eps > 0.0).nonzero()[0].tolist():
