@@ -424,10 +424,10 @@ def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
             if eps is not None:
                 eps = eps[going]
             xi, v = xi[:len(x)], v[:len(x)]
-        # each row's score sum_j basis_value(2, a, x[r, j] - mu, eps[r]) at
-        # its point mu, with the residuals and basis values in the work
-        # array so that no score allocates them; eps None stands for 0 in
-        # every row
+        # each row's score sum_j basis_value(2, a, x[r, j] - mu[r], eps[r])
+        # at its point mu[r], with the residuals and basis values in the
+        # work array so that no score allocates them; eps None stands for 0
+        # in every row
         np.subtract(x, mu, xi)
         basis_value(2, a, xi, out=v)
         if eps is not None:
