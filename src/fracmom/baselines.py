@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import integer_value, row_blocks, sample_row, sample_rows
+from .errors import integer_value, real_value, row_blocks, sample_row, \
+    sample_rows
 
 BASELINE_IDS = ("mean", "median", "trimmed10", "winsorized10", "huber",
                 "median_of_means")
@@ -65,6 +66,7 @@ def mean_rows(x: np.ndarray) -> np.ndarray:
 
 def _cut(n: int, fraction: float, what: str) -> int:
     """Values cut from each end of a sorted row of n."""
+    fraction = real_value(fraction, "fraction")
     if not 0.0 <= fraction < 0.5:
         raise ValueError("fraction must lie in [0, 0.5)")
     k = int(fraction * n)
@@ -105,6 +107,7 @@ def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
     """huber_location of every row of x, by iteratively reweighted means
     under a per-row mask: a row stops once its step is below 1e-9 of its
     scale, or after HUBER_MAX_ITERS steps."""
+    tuning_c = real_value(tuning_c, "tuning_c")
     if not tuning_c > 0.0:  # NaN too
         raise ValueError("tuning_c must be > 0")
     med = median_rows(x)

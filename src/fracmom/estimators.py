@@ -9,7 +9,7 @@ unusable, and the sample mean inside the protected band around alpha = 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,9 +86,6 @@ class EstimateRows:
                               self.det_last.item(r), self.converged.item(r))
 
 
-_RESULT_FIELDS = tuple(f.name for f in fields(EstimateResult))
-
-
 def _mad(x: np.ndarray, med: np.ndarray) -> np.ndarray:
     # MAD along the last axis about its median med; the deviations are
     # freed on return
@@ -137,139 +134,162 @@ def estimate_full_grid(samples, alphas) -> list[EstimateRows]:
 
     Reductions run along the rows, and every early exit or fallback is a
     per-row mask, so row r's result is estimate_full(samples[r], a) bit for
-    bit whatever the other rows hold.  Rows routed to the proxy, including
-    those whose zero floor underflows to 0, go through estimate_proxy_rows
-    together, block by block of rows (row_blocks).  What does not depend on
-    alpha (the input checks, and every row's mean, robust scale, zero floor
-    and step bound) is computed once per block for the whole grid, and so
-    are the residuals of the first pass, which starts every alpha at the
-    row mean: one moment_sums call gives that pass's moments at every
-    exponent.  Only the outer passes run at each alpha.
+    bit whatever the other rows hold.  The rows run block by block (_grid,
+    _full_block); rows routed to the proxy, including those whose zero
+    floor underflows, go through _proxy_block together.  Only the outer
+    passes run at each alpha.
     """
+    return _grid(samples, alphas, METHOD_FULL, _full_block)
+
+
+def _grid(samples, alphas, method: str, block) -> list[EstimateRows]:
+    """The one driver of both grids: checks the samples and the alphas,
+    makes one EstimateRows per alpha, whose fields are the rows of (k, M)
+    arrays, and calls block(x, finite, rows, grid, out) on each block of
+    rows (row_blocks), where rows holds the block's row indices in the
+    matrix.  Every field starts as a failed proxy row has it: NaN estimate,
+    condition number and determinant, 0 iterations and step, converged
+    True, and method; so a failed row keeps its NaN estimate.  Each errors
+    dict starts with the rows that hold NaN or inf."""
     x, finite = sample_rows(samples)
-    rows = x.shape[0]
-    grid = [alpha_value(a) for a in alphas]
-    mean = mean_rows(x)
-    out, full, ps = [], [], []
-    for a in grid:
-        errors = non_finite_errors(finite)
-        if abs(a - 0.5) < ESTIMATOR_BAND:
-            # the sample mean
-            out.append(EstimateRows(
-                np.where(finite, mean, math.nan),
-                np.full(rows, METHOD_OLS, dtype=object),
-                np.zeros(rows, dtype=int), np.zeros(rows),
-                np.full(rows, math.nan), np.full(rows, math.nan),
-                np.ones(rows, dtype=bool), errors))
-            continue
-        theta, final_step, cond, det = np.full((4, rows), math.nan)
-        out.append(EstimateRows(
-            theta, np.full(rows, METHOD_FULL, dtype=object),
-            np.zeros(rows, dtype=int), final_step, cond, det,
-            np.zeros(rows, dtype=bool), errors))
-        full.append((a, out[-1]))
-        ps.append(second_exponent(a))
-    if full:
+    try:
+        grid = [alpha_value(a) for a in alphas]
+    except TypeError:  # alpha_value raises ValueError: alphas is not iterable
+        raise ValueError(f"alphas must be a sequence of real numbers, got "
+                         f"{alphas!r}") from None
+    shape = (len(grid), x.shape[0])
+    iters = np.zeros(shape, dtype=int)
+    final_step = np.zeros(shape)
+    # filled in place: np.full and np.ones cost more than the arrays here
+    methods = np.empty(shape, dtype=object)
+    methods.fill(method)
+    nans = np.empty((3,) + shape)
+    nans.fill(math.nan)
+    theta, cond, det = nans
+    converged = np.empty(shape, dtype=bool)
+    converged.fill(True)
+    out = [EstimateRows(theta[j], methods[j], iters[j], final_step[j],
+                        cond[j], det[j], converged[j],
+                        non_finite_errors(finite))
+           for j in range(len(grid))]
+    index = np.arange(x.shape[0])
+    with np.errstate(all="ignore"):  # failed rows compute on garbage
         for b in row_blocks(*x.shape):
-            start, firsts = _full_start(x[b], finite[b], mean[b], ps)
-            for (a, res), m in zip(full, firsts):
-                fields = [getattr(res, name)[b] for name in _RESULT_FIELDS]
-                _full_passes(x[b], a, start, m, fields, res.errors, b.start)
+            block(x[b], finite[b], index[b], grid, out)
     return out
 
 
-def _full_start(x: np.ndarray, finite: np.ndarray, mean: np.ndarray, ps):
-    """The alpha-free start of the outer passes, (going, proxied, mean,
-    floor, lo, hi): going marks the rows that take the passes, proxied the
-    finite rows whose zero floor is not positive, which go to the proxy
-    without a pass, and floor (a column), lo and hi hold every row's zero
-    floor and step bounds.  Returned with the first pass's moment rows
-    about the mean at every exponent in ps."""
-    rows, n = x.shape
-    with np.errstate(all="ignore"):  # failed rows compute on garbage
-        scale = _robust_scale(_mad(x, median_rows(x)))
-        center = mean[:, None]
-        floor = np.maximum(1e-12 * scale,
-                           _tie_smoothing(_tied(x, center), scale))
-        fl = floor[:, None]
-        sums = moment_sums(x, center, ps, fl)
-        firsts = [MomentRows(p, s / n) for p, s in zip(ps, sums)]
-        if n > 1:  # np.std(x, ddof=1) by the same arithmetic: c2's row sum
-            sd = np.sqrt(sums[0][0] / (n - 1))
+def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
+                grid: list, out: list):
+    """estimate_full_grid on the block of rows x, the rows of the matrix
+    that rows indexes: fills them in every EstimateRows of out, one per
+    alpha of grid.  Inside the protected band a row's estimate is its mean.
+
+    What does not depend on alpha is computed once for the whole grid:
+    every row's mean, robust scale, zero floor and step bound, and the
+    residuals of the first pass, which starts every alpha at the row mean,
+    so that one moment_sums call gives that pass's moments at every
+    exponent.  Finite rows whose zero floor is not positive go to the proxy
+    without a pass.
+    """
+    n = x.shape[1]
+    mean = mean_rows(x)
+    full = []
+    for a, res in zip(grid, out):
+        if abs(a - 0.5) < ESTIMATOR_BAND:
+            res.theta_hat[rows] = np.where(finite, mean, math.nan)
+            res.method[rows] = METHOD_OLS
         else:
-            sd = np.zeros(rows)
-        if not np.isfinite(sd).all():
-            wide = finite & ~np.isfinite(sd)
-            if wide.any():
-                q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
-                sd[wide] = (q75 - q25) / 1.349
-        clip = STEP_CLIP_SD * sd
+            # what a row keeps when the full route refuses it
+            res.final_step[rows] = math.nan
+            res.converged[rows] = False
+            full.append((a, res))
+    if not full:
+        return
+    ps = [second_exponent(a) for a, _ in full]
+    scale = _robust_scale(_mad(x, median_rows(x)))
+    center = mean[:, None]
+    floor = np.maximum(1e-12 * scale, _tie_smoothing(_tied(x, center), scale))
+    fl = floor[:, None]
+    sums = moment_sums(x, center, ps, fl)
+    if n > 1:  # np.std(x, ddof=1) by the same arithmetic: c2's row sum
+        sd = np.sqrt(sums[0][0] / (n - 1))
+    else:
+        sd = np.zeros(len(x))
+    if not np.isfinite(sd).all():
+        wide = finite & ~np.isfinite(sd)
+        if wide.any():
+            q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
+            sd[wide] = (q75 - q25) / 1.349
+    clip = STEP_CLIP_SD * sd
     going = finite & (floor > 0.0)
-    return (going, finite & ~going, mean, fl, -clip, clip), firsts
+    start = (going, finite & ~going, mean, fl, -clip, clip)
+    for (a, res), p, s in zip(full, ps, sums):
+        _full_passes(x, rows, a, start, MomentRows(p, s / n), res)
 
 
-def _full_passes(x: np.ndarray, a: float, start, m, fields: list,
-                 errors: dict, first: int):
-    """The outer passes of estimate_full_grid at one alpha outside the band,
-    on the block of rows from row first on, from _full_start's start and
-    the first pass's moment rows m.  They fill fields, the block's views of
-    the result arrays in _RESULT_FIELDS order, and errors, which holds the
-    rows refused so far.
+def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
+                 m: MomentRows, res: EstimateRows):
+    """The outer passes of _full_block at one alpha outside the band, on
+    the block's rows x, from the start (going, proxied, mean, floor, lo,
+    hi) and the first pass's moment rows m: fills the rows of res that rows
+    indexes.  going marks the rows that take the passes, proxied the rows
+    that go to the proxy without one, floor (a column), lo and hi hold every
+    row's zero floor and step bounds.
 
     Every row takes every pass, and masks say which results count: going
     marks the rows still iterating, and a row's results are written at the
     pass where it stops, because its step is done or could not be taken, or
     at the last pass.  A row that could not step fails with NonFiniteMoment
     if its moments are not finite, and otherwise joins proxied, whose rows
-    go through estimate_proxy_rows together at the end.
+    go through _proxy_block together at the end.
     """
     # start's masks serve every alpha of a grid, so they are replaced here,
     # never updated in place
     going, proxied, xbar, fl, lo, hi = start
     p = m.p
-    theta, _, iters, final_step, cond, det, converged = fields
     mu = xbar
-    with np.errstate(all="ignore"):  # failed rows compute on garbage
-        for it in range(1, MAX_OUTER_ITERS + 1):
-            if it > 1:
-                m = moment_rows(x, mu[:, None], (p,), zero_floor=fl)[0]
-            sys = system_rows(m)
-            _, nu_pm1, _, _, sigma_p = m.values
-            # the weighted score z and minus its slope in mu
-            z = sys.h1 * (xbar - mu) + sys.h2 * sigma_p
-            descent = sys.h1 + p * sys.h2 * nu_pm1
-            step = (z / descent).clip(lo, hi)
-            mu = mu + step
-            done = np.abs(step) < TOL * np.maximum(1.0, np.abs(mu))
-            usable = m.finite()
-            stepped = (usable & ~sys.singular & np.isfinite(descent)
-                       & (descent != 0.0))
-            stop = (going if it == MAX_OUTER_ITERS
-                    else going & (done | ~stepped))
-            if not stop.any():
-                continue
-            failed = stop & ~stepped
-            for r in np.flatnonzero(failed & ~usable):
-                errors[first + int(r)] = NonFiniteMoment(
-                    "moment set contains non-finite entries")
-            proxied = proxied | (failed & usable)
-            # the rows whose full route ends here
-            end = stop & stepped
-            for field, value in ((theta, mu), (iters, it),
-                                 (final_step, step), (cond, sys.cond()),
-                                 (det, sys.det), (converged, done)):
-                np.copyto(field, value, where=end)
-            going = going & ~stop
-            if not going.any():
-                break
+    for it in range(1, MAX_OUTER_ITERS + 1):
+        if it > 1:
+            m = moment_rows(x, mu[:, None], (p,), zero_floor=fl)[0]
+        sys = system_rows(m)
+        _, nu_pm1, _, _, sigma_p = m.values
+        # the weighted score z and minus its slope in mu
+        z = sys.h1 * (xbar - mu) + sys.h2 * sigma_p
+        descent = sys.h1 + p * sys.h2 * nu_pm1
+        step = (z / descent).clip(lo, hi)
+        mu = mu + step
+        done = np.abs(step) < TOL * np.maximum(1.0, np.abs(mu))
+        usable = m.finite()
+        stepped = (usable & ~sys.singular & np.isfinite(descent)
+                   & (descent != 0.0))
+        stop = going if it == MAX_OUTER_ITERS else going & (done | ~stepped)
+        if not stop.any():
+            continue
+        failed = stop & ~stepped
+        for r in rows[failed & ~usable].tolist():
+            res.errors[r] = NonFiniteMoment(
+                "moment set contains non-finite entries")
+        proxied = proxied | (failed & usable)
+        # the rows whose full route ends here
+        end = stop & stepped
+        ended = rows[end]
+        for field, value in ((res.theta_hat, mu), (res.final_step, step),
+                             (res.cond_last, sys.cond()),
+                             (res.det_last, sys.det), (res.converged, done)):
+            field[ended] = value[end]
+        res.outer_iters[ended] = it
+        going = going & ~stop
+        if not going.any():
+            break
 
     if proxied.any():
         idx = np.flatnonzero(proxied)
-        prox = estimate_proxy_rows(x[idx], a)
-        for field, name in zip(fields, _RESULT_FIELDS):
-            field[idx] = getattr(prox, name)
-        errors.update((first + int(idx[j]), exc)
-                      for j, exc in prox.errors.items())
+        fell = rows[idx]
+        _proxy_block(x[idx], proxied[idx], fell, [a], [res])
+        res.method[fell] = METHOD_PROXY
+        res.final_step[fell] = 0.0
+        res.converged[fell] = True
 
 
 def estimate_proxy(sample, alpha) -> EstimateResult:
@@ -295,66 +315,39 @@ def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:
     lock-step with the others, so one score evaluation per step serves every
     row still searching.  Row r's result is estimate_proxy(samples[r], a)
     bit for bit whatever the other rows hold.  The rows run block by block
-    (row_blocks), and what does not depend on alpha (every row's median,
-    robust scale, tie smoothing and starting bracket, and the work array of
-    the scores) is computed once per block for the whole grid.  Each field
-    of the results is one array for the whole grid, one row per alpha.
+    (_grid, _proxy_block), and what does not depend on alpha (every row's
+    median, robust scale, tie smoothing and starting bracket, and the work
+    array of the scores) is computed once per block for the whole grid.
     """
-    x, finite = sample_rows(samples)
-    rows = x.shape[0]
-    grid = [alpha_value(a) for a in alphas]
-    k = len(grid)
-    theta = np.empty((k, rows))
-    iters = np.zeros((k, rows), dtype=int)
-    final_step = np.zeros((k, rows))
-    # filled in place: np.full and np.ones cost more than the arrays here
-    method = np.empty((k, rows), dtype=object)
-    method.fill(METHOD_PROXY)
-    nans = np.empty((2, k, rows))
-    nans.fill(math.nan)
-    cond, det = nans
-    converged = np.empty((k, rows), dtype=bool)
-    converged.fill(True)
-    out = [EstimateRows(theta[j], method[j], iters[j], final_step[j],
-                        cond[j], det[j], converged[j],
-                        non_finite_errors(finite))
-           for j in range(k)]
-    with np.errstate(all="ignore"):  # failed rows compute on garbage
-        for b in row_blocks(*x.shape):
-            _proxy_block(x[b], finite[b], grid, out, b)
-    for res in out:
-        for r in res.errors:
-            res.theta_hat[r] = math.nan
-    return out
+    return _grid(samples, alphas, METHOD_PROXY, _proxy_block)
 
 
-def _proxy_block(x: np.ndarray, finite: np.ndarray, grid: list,
-                 out: list, b: slice):
-    """estimate_proxy_grid on the block of rows x, rows b of the matrix:
-    fills the block's estimates and iteration counts in every EstimateRows
-    of out, one per alpha of grid, and their errors."""
+def _proxy_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
+                 grid: list, out: list):
+    """estimate_proxy_grid on the block of rows x, the rows of the matrix
+    that rows indexes: fills their estimates and iteration counts in every
+    EstimateRows of out, one per alpha of grid, and their errors."""
     med = median_rows(x)
-    for res in out:
-        res.theta_hat[b] = med
     mad = _mad(x, med)
-    # a constant row's root is its value, which the median already holds.
-    # A row whose MAD is positive and finite is not constant (a constant row
-    # has an infinite MAD where its median overflows), so only the other
-    # finite rows are compared with their extremes
+    # a constant row's root is its value, which its median holds.  A row
+    # whose MAD is positive and finite is not constant (a constant row has
+    # an infinite MAD where its median overflows), so only the other finite
+    # rows are compared with their extremes
     live = finite & (mad > 0.0) & (mad < math.inf)
     if np.count_nonzero(live) < live.size:
         flat = (finite & ~live).nonzero()[0]
         live[flat] = x[flat].max(axis=1) != x[flat].min(axis=1)
+        const = flat[~live[flat]]
+        for res in out:
+            res.theta_hat[rows[const]] = med[const]
         live = live.nonzero()[0]
         if live.size == 0:
             return
-        x, med = x[live], med[live]
+        x, med, rows = x[live], med[live], rows[live]
         scale = _robust_scale(mad[live])
-        rows = (b.start + live).tolist()
     else:
         # every MAD is positive, so it is the robust scale
         scale = mad
-        rows = list(range(b.start, b.stop))
     ps = [second_exponent(a) for a in grid]
     # each row's tie smoothing, or None where no row uses one; only p < 1
     # smooths
@@ -372,6 +365,7 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, grid: list,
     # fresh arrays cost page faults.  Calls may run in threads, so the
     # array is not shared
     work = np.empty((2,) + x.shape)
+    rows = rows.tolist()
     for a, p, res in zip(grid, ps, out):
         _proxy_root(x, rows, starts, a, p, eps if p < 1.0 else None, work,
                     res)

@@ -15,8 +15,8 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import DistributionSpec
-from .errors import NonFiniteMoment, QuadratureError, row_blocks, \
-    sample_row
+from .errors import NonFiniteMoment, QuadratureError, real_value, \
+    row_blocks, sample_row
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
@@ -138,15 +138,20 @@ def empirical_moments(sample, center: float, p: float,
     ``zero_floor`` clamps |residual| only in negative-exponent terms; with
     ``winsor_fraction > 0`` the absolute residuals are capped at their
     (1 - f) quantile before powering.  A sample holding NaN or inf raises
-    NonFiniteInput, and a non-finite center or p ValueError.
+    NonFiniteInput; an argument that is not a real number, and a non-finite
+    center or p, raise ValueError.
     """
+    winsor_fraction = real_value(winsor_fraction, "winsor_fraction")
     if not 0.0 <= winsor_fraction <= 0.25:
         raise ValueError("winsor_fraction must lie in [0, 0.25]")
+    zero_floor = real_value(zero_floor, "zero_floor")
     if not zero_floor > 0.0:
         raise ValueError("zero_floor must be > 0")
     x = sample_row(sample)
+    p = real_value(p, "p")
     if not 0.0 < p < math.inf:  # False for NaN
         raise ValueError(f"p must be finite and > 0, got {p}")
+    center = real_value(center, "center")
     if not math.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
     if winsor_fraction > 0.0:

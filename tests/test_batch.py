@@ -55,7 +55,8 @@ from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
 from fracmom import errors, estimators
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    _brent, estimate_full_grid, estimate_proxy_grid, estimate_proxy_rows
+    EstimateResult, _brent, estimate_full_grid, estimate_proxy_grid, \
+    estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -115,6 +116,15 @@ def test_full_grid_matches_one_alpha_at_a_time(x, alphas):
         assert list(rows.errors) == list(one.errors)
 
 
+def _row_bits(rows, r):
+    """Row r of an EstimateRows: every field by its bits, failed rows
+    included, and its error's type and message, or None."""
+    exc = rows.errors.get(r)
+    return (_bits(getattr(rows, f.name).item(r)
+                  for f in fields(EstimateResult)),
+            exc and (type(exc), str(exc)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(sample_matrices(), ALPHAS)
 def test_full_rows_match_batch_of_one(x, alpha):
@@ -122,6 +132,10 @@ def test_full_rows_match_batch_of_one(x, alpha):
     for r in range(x.shape[0]):
         assert _outcome(rows.result, r) == _outcome(estimate_full, x[r], alpha)
         assert rows.ok[r] == (r not in rows.errors)
+        if rows.method[r] == "proxy":
+            # a row the full solver hands to the proxy is the proxy's row
+            assert _row_bits(rows, r) == _row_bits(
+                estimate_proxy_rows(x[r:r + 1], alpha), 0)
 
 
 def test_nan_row_fails_alone():

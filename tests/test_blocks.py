@@ -3,13 +3,15 @@
 Every batch kernel runs its rows in blocks of at most
 max(1, BLOCK_ELEMENTS // N) rows (errors.row_blocks), so that its
 temporaries take a fixed budget.  A block of one row and blocks of three
-rows must give what one block gives, bit for bit, with the same errors.
+rows must give what one block gives, bit for bit, with the same errors,
+and a grid call checks its samples once, whatever its blocks and alphas.
 The peak memory of both calibrators is bounded by their bootstrap matrix,
 its index array and a fixed block budget.  Each bootstrap matrix is
 gathered straight from one index draw, which must be rng.choice's draw bit
 for bit.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,7 +20,7 @@ import pytest
 
 from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_proxy, \
     parse_spec, sample
-from fracmom import calibration, errors
+from fracmom import calibration, errors, estimators
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _draw, \
@@ -26,8 +28,8 @@ from fracmom.calibration import PLUGIN_WINSOR, _draw, \
     silverman_bandwidth
 from fracmom.distributions import make_rng
 from fracmom.efficiency import alpha_grid
-from fracmom.estimators import _RESULT_FIELDS, estimate_full_grid, \
-    estimate_proxy_rows
+from fracmom.estimators import EstimateResult, estimate_full_grid, \
+    estimate_proxy_grid, estimate_proxy_rows
 from fracmom.moments import winsorize_rows
 
 N = 50
@@ -65,8 +67,8 @@ def _bits(values: np.ndarray) -> list:
 
 
 def _rows_bits(rows) -> tuple:
-    fields = tuple(tuple(_bits(getattr(rows, name)))
-                   for name in _RESULT_FIELDS)
+    fields = tuple(tuple(_bits(getattr(rows, f.name)))
+                   for f in dataclasses.fields(EstimateResult))
     return fields, sorted((r, type(exc), str(exc))
                           for r, exc in rows.errors.items())
 
@@ -107,6 +109,25 @@ def test_blocks_give_what_one_block_gives(monkeypatch, block_rows):
     assert len(list(errors.row_blocks(*x.shape))) == \
         math.ceil(len(x) / block_rows)
     assert _kernels(x) == whole
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+@pytest.mark.parametrize("grid", [estimate_full_grid, estimate_proxy_grid])
+def test_one_input_check_per_grid_call(monkeypatch, grid, block_rows):
+    # the full solver's fallback rows go straight to the proxy's block
+    # kernel, so no block and no alpha checks the samples again
+    x = _edge_rows()
+    if block_rows is not None:
+        monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * N)
+    calls = []
+
+    def spy(samples):
+        calls.append(samples)
+        return errors.sample_rows(samples)
+
+    monkeypatch.setattr(estimators, "sample_rows", spy)
+    grid(x, (0.3, 0.05, 0.95))
+    assert len(calls) == 1
 
 
 def _peak_bytes(fn) -> int:

@@ -23,6 +23,8 @@ from fracmom import (
     run_baseline,
     sample,
     second_exponent,
+    trimmed_mean,
+    winsorized_mean,
 )
 from fracmom.estimators import TOL, estimate_full_grid, estimate_proxy_grid
 
@@ -72,11 +74,28 @@ class TestOls:
     lambda x: alpha_grid(0.05, "a"),
     lambda x: g2_sweep(parse_spec("laplace"), 0.05, None),
     lambda x: calibrate_grid_mc(x, (0.05, 1j), bootstrap_b=100),
+    lambda x: estimate_full_grid(x[None, :], 0.3),
+    lambda x: estimate_proxy_grid(x[None, :], 0.3),
+    lambda x: calibrate_grid_mc(x, 0.3),
+    lambda x: calibrate_grid_mc(x, None),
+    lambda x: huber_location(x, None),
+    lambda x: huber_location(x, "a"),
+    lambda x: trimmed_mean(x, None),
+    lambda x: winsorized_mean(x, None),
+    lambda x: empirical_moments(x, None, 1.5),
+    lambda x: empirical_moments(x, 0.0, None),
+    lambda x: empirical_moments(x, 0.0, 1.5, winsor_fraction=None),
+    lambda x: empirical_moments(x, 0.0, 1.5, zero_floor=None),
 ], ids=["full-alpha-None", "full-alpha-str", "proxy-alpha-list",
         "grid-alpha-None", "ols-complex", "proxy-complex-array",
         "proxy-complex-scalars",
         "huber-complex", "baseline-dict", "grid-step-None", "band-str",
-        "sweep-band-None", "grid-mc-complex-alphas"])
+        "sweep-band-None", "grid-mc-complex-alphas", "full-grid-alphas-float",
+        "proxy-grid-alphas-float", "grid-mc-alphas-float",
+        "grid-mc-alphas-None", "huber-tuning-None", "huber-tuning-str",
+        "trimmed-fraction-None", "winsorized-fraction-None",
+        "moments-center-None", "moments-p-None", "moments-winsor-None",
+        "moments-floor-None"])
 def test_bad_argument_types_raise_value_error(call):
     # a raw TypeError would escape the documented refusals
     with pytest.raises(ValueError):
