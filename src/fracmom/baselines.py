@@ -41,9 +41,11 @@ def median_rows(x: np.ndarray) -> np.ndarray:
         mid = part[:, k] + 0.0
     else:
         # the largest values below and from the kth, in one reduction
-        lower, top = np.maximum.reduceat(part, [0, k], axis=-1).T
+        both = np.maximum.reduceat(part, [0, k], axis=-1)
+        lower, top = both[:, 0], both[:, 1]
         mid = (lower + part[:, k]) / 2.0 + 0.0
-    mid[np.isnan(top)] = np.nan
+    if np.count_nonzero(nan := np.isnan(top)):
+        mid[nan] = np.nan
     return mid
 
 
@@ -55,7 +57,7 @@ def mean_rows(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
         mean = np.add.reduce(x, axis=-1) / x.shape[-1]
     wide = ~np.isfinite(mean)
-    if wide.any():
+    if np.count_nonzero(wide):
         wide &= np.isfinite(x).all(axis=-1)
         xw = x[wide]
         top = np.abs(xw).max(axis=-1, keepdims=True)
@@ -120,28 +122,29 @@ def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
     xs, mu, s = x, med, MAD_TO_SD * mad
     if live.size < len(x):
         xs, mu, s = x[live], med[live], s[live]
-    k = (tuning_c * s)[:, None]
+    k, tol = (tuning_c * s)[:, None], 1e-9 * s
+    w = work[:len(xs)]  # the live rows' slice, taken again when rows drop
     with np.errstate(all="ignore"):
         for it in range(1, HUBER_MAX_ITERS + 1):
             # weights min(1, k / r) with r = |x - mu|, bit for bit as
             # where(r > k, k / r, 1) gives them: k / r is 1 or more unless
             # r > k, overflows to inf where r is tiny, and where it is NaN
             # (0 / 0, inf / inf) fmin takes the 1
-            w = np.subtract(xs, mu[:, None], out=work[:len(xs)])
+            np.subtract(xs, mu[:, None], out=w)
             np.abs(w, out=w)
             np.divide(k, w, out=w)
             np.fmin(w, 1.0, out=w)
             total = np.add.reduce(w, axis=-1)
             nxt = np.add.reduce(np.multiply(w, xs, out=w), axis=-1) / total
-            done = np.abs(nxt - mu) < 1e-9 * s
-            if it == HUBER_MAX_ITERS or done.all():
+            stopped = np.count_nonzero(done := np.abs(nxt - mu) < tol)
+            if it == HUBER_MAX_ITERS or stopped == done.size:
                 out[live] = nxt
                 return out
-            if done.any():
+            if stopped:
                 out[live[done]] = nxt[done]
                 keep = ~done
-                live, xs, s, k = live[keep], xs[keep], s[keep], k[keep]
-                nxt = nxt[keep]
+                live, xs, tol, k = live[keep], xs[keep], tol[keep], k[keep]
+                nxt, w = nxt[keep], work[:len(xs)]
             mu = nxt
     return out
 

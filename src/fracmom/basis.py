@@ -29,6 +29,18 @@ def alpha_value(alpha) -> float:
     return a
 
 
+def alpha_list(alphas) -> list[float]:
+    """Every alpha of the iterable alphas, by alpha_value.  Raises
+    ValueError where alphas is not iterable or is a string or bytes, whose
+    items are characters or small integers, not alphas."""
+    if not isinstance(alphas, (str, bytes, bytearray)):
+        try:
+            return [alpha_value(a) for a in alphas]
+        except TypeError:  # alpha_value raises ValueError: not iterable
+            pass
+    raise ValueError(f"alphas must be a sequence of reals, got {alphas!r}")
+
+
 def exponent(i: int, alpha) -> float:
     """Exponent p_i(alpha) of basis member i.
 

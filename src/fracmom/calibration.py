@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SWEEP_BAND, second_exponent
+from .basis import SWEEP_BAND, alpha_list, second_exponent
 from .distributions import DistributionSpec, make_rng, shape_summary
 # estimate_full, empirical_moments and g2_with_flag are no longer called
 # here; perfbench/tracer.py binds them through this module
@@ -155,7 +155,8 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     if integer_value(bootstrap_b, "bootstrap_b") < 100:
         raise ValueError("bootstrap_b must be >= 100")
     integer_value(seed, "seed")
-    alphas = float_array(alphas, "alphas")
+    # the grid is checked before the draw, which is the costly part
+    alphas = np.array(alpha_list(alphas))
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     x = sample_row(sample)[0]

@@ -106,9 +106,7 @@ class DistributionSpec:
             return math.sqrt(2.0) if self.standardized else 1.0
         if self.family == "triangular":
             return math.sqrt(6.0) if self.standardized else 1.0
-        if self.family == "cauchy":
-            return 1.0
-        return 1.0  # beta: scale fixed by its [0, 1] support
+        return 1.0  # cauchy, and beta: scale fixed by its [0, 1] support
 
     @property
     def variance(self) -> float:
@@ -165,12 +163,10 @@ class DistributionSpec:
             return (-np.inf, np.inf)
         if self.family in ("uniform", "arcsine", "triangular"):
             return (-self.scale, self.scale)
-        lo, hi = 0.0, 1.0
-        if self.standardized:
-            a, b = self.shape
-            mu = a / (a + b)
-            return (lo - mu, hi - mu)
-        return (lo, hi)
+        if self.standardized:  # [0, 1] shifted by the mean a / (a + b)
+            mu = self._beta_constants[0]
+            return (0.0 - mu, 1.0 - mu)
+        return (0.0, 1.0)
 
     def density(self, x):
         """Density evaluated pointwise (vectorized).

@@ -46,8 +46,8 @@ class CorrelantSystem:
 
 class SystemRows(NamedTuple):
     """The weight systems of M moment rows: each field is an (M,) array named
-    as in CorrelantSystem (b1 is 1 in every row), plus the rows that
-    build_correlant_system refuses as singular."""
+    as in CorrelantSystem (b1 is 1 in every row), plus ``regular``, the rows
+    that build_correlant_system does not refuse as singular."""
 
     f11: np.ndarray
     f12: np.ndarray
@@ -56,7 +56,7 @@ class SystemRows(NamedTuple):
     h1: np.ndarray
     h2: np.ndarray
     det: np.ndarray
-    singular: np.ndarray
+    regular: np.ndarray
 
     def cond(self) -> np.ndarray:
         """Condition number of every row's F."""
@@ -81,16 +81,17 @@ def system_rows(m: MomentRows) -> SystemRows:
     f22 = nu_2p - sigma_p**2
     b2 = m.p * nu_pm1
     det = f11 * f22 - f12 * f12
-    singular = ~np.isfinite(det) | (np.abs(det) < DET_THRESHOLD)
+    regular = np.isfinite(det) & (np.abs(det) >= DET_THRESHOLD)
     # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
     # rows where that bound is not 4x under COND_CAP (rounding moves cond by
-    # far less) need their condition number to settle cond > COND_CAP
+    # far less) need their condition number to settle cond > COND_CAP.  A
+    # finite det has finite entries, whose cond is not NaN
     tr = f11 + f22
-    if not (tr * tr < 0.25 * COND_CAP * det).all():
-        singular |= _cond_2x2(f11, f12, f22) > COND_CAP
+    if np.count_nonzero(tr * tr < 0.25 * COND_CAP * det) < det.size:
+        regular &= _cond_2x2(f11, f12, f22) <= COND_CAP
     h1 = (f22 - f12 * b2) / det  # b1 = 1
     h2 = (f11 * b2 - f12) / det
-    return SystemRows(f11, f12, f22, b2, h1, h2, det, singular)
+    return SystemRows(f11, f12, f22, b2, h1, h2, det, regular)
 
 
 def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
@@ -104,7 +105,7 @@ def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
     with np.errstate(all="ignore"):
         s = system_rows(m.rows())
         cond = float(s.cond()[0])
-    if s.singular[0]:
+    if not s.regular[0]:
         raise SingularSystem(f"det={s.det[0]:.3e}, cond={cond:.3e}")
     f11, f12, f22, b2, h1, h2, det = (float(v[0]) for v in s[:-1])
     return CorrelantSystem(f11, f12, f22, 1.0, b2, h1, h2, det, cond)

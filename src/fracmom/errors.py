@@ -58,11 +58,11 @@ BLOCK_ELEMENTS = 2**16
 
 def float_array(values, what: str = "samples") -> np.ndarray:
     """values as an array of floats.  Raises ValueError where they are not
-    real numbers, complex values included, whose imaginary parts numpy
-    would drop."""
+    real numbers: complex values included, whose imaginary parts numpy
+    would drop, and strings or bytes, which numpy would parse."""
     if not hasattr(values, "dtype"):  # a list: numpy finds its type first
         values = np.asarray(values)
-    if values.dtype.kind != "c":
+    if values.dtype.kind not in "cSU":  # complex values, strings, bytes
         try:
             return np.asarray(values, dtype=float)
         except TypeError:
@@ -83,7 +83,7 @@ def sample_rows(samples) -> tuple[np.ndarray, np.ndarray]:
     # the finiteness mask is as large as x, so it is built block by block
     finite = np.empty(rows, dtype=bool)
     for b in row_blocks(rows, n):
-        finite[b] = np.isfinite(x[b]).all(axis=1)
+        np.logical_and.reduce(np.isfinite(x[b]), axis=1, out=finite[b])
     return x, finite
 
 
@@ -120,12 +120,13 @@ def integer_value(value, what: str) -> int:
 
 def real_value(value, what: str) -> float:
     """value as a float, for a real number; ValueError for anything float()
-    refuses."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a real number, got {value!r}") \
-            from None
+    refuses, and for a string or bytes, which float() would parse."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def non_finite_errors(finite: np.ndarray) -> dict[int, Exception]:

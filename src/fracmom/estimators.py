@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import mean_rows, median_rows
-from .basis import ESTIMATOR_BAND, alpha_value, basis_value, second_exponent
+from .basis import ESTIMATOR_BAND, alpha_list, basis_value, second_exponent
 # build_correlant_system and empirical_moments are no longer called here;
 # perfbench/tracer.py binds them through this module
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
@@ -52,13 +52,15 @@ class EstimateResult:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass
 class EstimateRows:
     """Results of one estimator on every row of an (M, N) sample matrix.
 
     Each array holds the EstimateResult field of the same name, one entry
     per row; ``errors`` maps every failed row to the exception that row
-    raises on its own, and leaves its ``theta_hat`` NaN.
+    raises on its own, and leaves its ``theta_hat`` NaN.  The kernels fill
+    the arrays and the dict in place; the class is not frozen because a
+    frozen __init__ costs about 2 us more, once per alpha of every call.
     """
 
     theta_hat: np.ndarray
@@ -94,18 +96,21 @@ def _mad(x: np.ndarray, med: np.ndarray) -> np.ndarray:
 
 
 def _robust_scale(mad: np.ndarray) -> np.ndarray:
-    # the MAD, 1 where it is 0
-    return np.where(mad > 0.0, mad, 1.0)[()]
+    # the MAD, 1 where it is not positive
+    positive = mad > 0.0
+    return mad if np.count_nonzero(positive) == positive.size \
+        else np.where(positive, mad, 1.0)
 
 
-def _tied(x: np.ndarray, center) -> np.ndarray:
-    # the rows with two or more residuals exactly at zero, which take the
-    # smoothing scale
-    return np.add.reduce(x == center, axis=-1) >= 2
-
-
-def _tie_smoothing(tied: np.ndarray, scale) -> np.ndarray:
-    return np.where(tied, 1e-6 * scale, 0.0)[()]
+def _tie_smoothing(x: np.ndarray, center, scale) -> np.ndarray | None:
+    # 1e-6 * scale in the rows with two or more residuals exactly at zero
+    # and 0 in the others, or None where no row has two
+    at_zero = x == center
+    if np.count_nonzero(at_zero) > 1:
+        tied = np.add.reduce(at_zero, axis=-1) >= 2
+        if np.count_nonzero(tied):
+            return np.where(tied, 1e-6 * scale, 0.0)
+    return None
 
 
 def estimate_ols(sample) -> EstimateResult:
@@ -152,30 +157,24 @@ def _grid(samples, alphas, method: str, block) -> list[EstimateRows]:
     True, and method; so a failed row keeps its NaN estimate.  Each errors
     dict starts with the rows that hold NaN or inf."""
     x, finite = sample_rows(samples)
-    try:
-        grid = [alpha_value(a) for a in alphas]
-    except TypeError:  # alpha_value raises ValueError: alphas is not iterable
-        raise ValueError(f"alphas must be a sequence of real numbers, got "
-                         f"{alphas!r}") from None
+    grid = alpha_list(alphas)
     shape = (len(grid), x.shape[0])
     iters = np.zeros(shape, dtype=int)
     final_step = np.zeros(shape)
     # filled in place: np.full and np.ones cost more than the arrays here
     methods = np.empty(shape, dtype=object)
     methods.fill(method)
-    nans = np.empty((3,) + shape)
+    nans = np.empty((3,) + shape)  # theta, cond, det
     nans.fill(math.nan)
-    theta, cond, det = nans
     converged = np.empty(shape, dtype=bool)
     converged.fill(True)
-    out = [EstimateRows(theta[j], methods[j], iters[j], final_step[j],
-                        cond[j], det[j], converged[j],
+    out = [EstimateRows(nans[0, j], methods[j], iters[j], final_step[j],
+                        nans[1, j], nans[2, j], converged[j],
                         non_finite_errors(finite))
            for j in range(len(grid))]
-    index = np.arange(x.shape[0])
     with np.errstate(all="ignore"):  # failed rows compute on garbage
         for b in row_blocks(*x.shape):
-            block(x[b], finite[b], index[b], grid, out)
+            block(x[b], finite[b], np.arange(b.start, b.stop), grid, out)
     return out
 
 
@@ -209,18 +208,18 @@ def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     ps = [second_exponent(a) for a, _ in full]
     scale = _robust_scale(_mad(x, median_rows(x)))
     center = mean[:, None]
-    floor = np.maximum(1e-12 * scale, _tie_smoothing(_tied(x, center), scale))
+    # an untied row's smoothing, 0, would leave its floor as it is
+    eps = _tie_smoothing(x, center, scale)
+    floor = 1e-12 * scale if eps is None else np.maximum(1e-12 * scale, eps)
     fl = floor[:, None]
     sums = moment_sums(x, center, ps, fl)
-    if n > 1:  # np.std(x, ddof=1) by the same arithmetic: c2's row sum
-        sd = np.sqrt(sums[0][0] / (n - 1))
-    else:
-        sd = np.zeros(len(x))
-    if not np.isfinite(sd).all():
-        wide = finite & ~np.isfinite(sd)
-        if wide.any():
-            q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
-            sd[wide] = (q75 - q25) / 1.349
+    # np.std(x, ddof=1) by the same arithmetic, c2's row sum, and 0 where
+    # N is 1: a finite row's c2 is 0 there
+    sd = np.sqrt(sums[0][0] / max(n - 1, 1))
+    wide = finite & ~np.isfinite(sd)
+    if np.count_nonzero(wide):
+        q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
+        sd[wide] = (q75 - q25) / 1.349
     clip = STEP_CLIP_SD * sd
     going = finite & (floor > 0.0)
     start = (going, finite & ~going, mean, fl, -clip, clip)
@@ -242,7 +241,10 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
     pass where it stops, because its step is done or could not be taken, or
     at the last pass.  A row that could not step fails with NonFiniteMoment
     if its moments are not finite, and otherwise joins proxied, whose rows
-    go through _proxy_block together at the end.
+    go through _proxy_block together at the end.  A row with a non-finite
+    moment never steps: its determinant (c2, nu_pp1, nu_2p, sigma_p) or its
+    descent (nu_pm1) is not finite, so the moments are tested only where a
+    row failed.
     """
     # start's masks serve every alpha of a grid, so they are replaced here,
     # never updated in place
@@ -251,28 +253,28 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
     mu = xbar
     for it in range(1, MAX_OUTER_ITERS + 1):
         if it > 1:
-            m = moment_rows(x, mu[:, None], (p,), zero_floor=fl)[0]
+            m = moment_rows(x, mu[:, None], (p,), fl)[0]
         sys = system_rows(m)
-        _, nu_pm1, _, _, sigma_p = m.values
+        nu_pm1, sigma_p = m.values[1], m.values[4]
         # the weighted score z and minus its slope in mu
         z = sys.h1 * (xbar - mu) + sys.h2 * sigma_p
         descent = sys.h1 + p * sys.h2 * nu_pm1
-        step = (z / descent).clip(lo, hi)
+        step = np.minimum(np.maximum(z / descent, lo), hi)
         mu = mu + step
         done = np.abs(step) < TOL * np.maximum(1.0, np.abs(mu))
-        usable = m.finite()
-        stepped = (usable & ~sys.singular & np.isfinite(descent)
-                   & (descent != 0.0))
+        stepped = sys.regular & np.isfinite(descent) & (descent != 0.0)
         stop = going if it == MAX_OUTER_ITERS else going & (done | ~stepped)
-        if not stop.any():
+        if not np.count_nonzero(stop):
             continue
-        failed = stop & ~stepped
-        for r in rows[failed & ~usable].tolist():
-            res.errors[r] = NonFiniteMoment(
-                "moment set contains non-finite entries")
-        proxied = proxied | (failed & usable)
-        # the rows whose full route ends here
+        # the rows whose full route ends here, and those that could not step
         end = stop & stepped
+        failed = stop ^ end
+        if np.count_nonzero(failed):
+            bad = failed & ~m.finite()
+            for r in rows[bad].tolist():
+                res.errors[r] = NonFiniteMoment(
+                    "moment set contains non-finite entries")
+            proxied = proxied | (failed & ~bad)
         ended = rows[end]
         for field, value in ((res.theta_hat, mu), (res.final_step, step),
                              (res.cond_last, sys.cond()),
@@ -280,10 +282,10 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
             field[ended] = value[end]
         res.outer_iters[ended] = it
         going = going & ~stop
-        if not going.any():
+        if not np.count_nonzero(going):
             break
 
-    if proxied.any():
+    if np.count_nonzero(proxied):
         idx = np.flatnonzero(proxied)
         fell = rows[idx]
         _proxy_block(x[idx], proxied[idx], fell, [a], [res])
@@ -353,9 +355,7 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     # smooths
     eps = None
     if any(p < 1.0 for p in ps):
-        tied = _tied(x, med[:, None])
-        if np.count_nonzero(tied):
-            eps = _tie_smoothing(tied, scale)
+        eps = _tie_smoothing(x, med[:, None], scale)
     # each row's median and starting half-width, in Python floats: the
     # same IEEE arithmetic, and each search takes its floats anyway
     starts = [(m, BRACKET_EXPANSION * max(s, 1e-8 * (1.0 + abs(m))))

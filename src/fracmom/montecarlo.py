@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .baselines import baseline_rows, mean_rows
-from .basis import alpha_value, second_exponent
+from .basis import alpha_list, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample_block
 from .efficiency import g2_closed_form
 from .errors import FracmomError, integer_value
@@ -60,8 +60,7 @@ class McDesign:
         if unknown:
             raise ValueError(f"unknown estimators {unknown}; "
                              f"choose from {MC_ESTIMATORS}")
-        for a in self.alpha_values:
-            alpha_value(a)
+        alpha_list(self.alpha_values)
 
 
 def default_design(replicates: int = 1000, base_seed: int = 1234) -> McDesign:

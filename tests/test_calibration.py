@@ -232,6 +232,20 @@ class TestGridMcCalibration:
         with pytest.raises(ValueError):
             calibrate_grid_mc(np.arange(50.0), (0.1, 0.9), bootstrap_b=50)
 
+    @pytest.mark.parametrize("alphas", [0.3, None, "0.3", b"\x00", (),
+                                        (0.3, 1.5)],
+                             ids=["float", "None", "str", "bytes", "empty",
+                                  "out-of-range"])
+    def test_grid_is_checked_before_the_draw(self, alphas, monkeypatch):
+        # the (B, N) bootstrap matrix is drawn only for a usable grid
+        draws = []
+        monkeypatch.setattr("fracmom.calibration._draw",
+                            lambda *args: draws.append(args))
+        x = sample(parse_spec("laplace"), 60, 1)
+        with pytest.raises(ValueError):
+            calibrate_grid_mc(x, alphas, bootstrap_b=100)
+        assert draws == []
+
     def test_single_point_grid(self):
         x = sample(parse_spec("laplace"), 60, 1)
         res = calibrate_grid_mc(x, (0.3,), bootstrap_b=100, seed=0)

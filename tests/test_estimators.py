@@ -63,9 +63,14 @@ class TestOls:
 @pytest.mark.parametrize("call", [
     lambda x: estimate_full(x, None),
     lambda x: estimate_full(x, "a"),
+    lambda x: estimate_full(x, "0.3"),
+    lambda x: estimate_full(x, b"0.3"),
+    lambda x: estimate_full_grid(x[None, :], "1"),
+    lambda x: estimate_full_grid(x[None, :], b"\x00"),
     lambda x: estimate_proxy(x, [0.1]),
     lambda x: estimate_proxy_grid(x[None, :], (0.1, None)),
     lambda x: estimate_ols([1 + 2j, 3.0]),
+    lambda x: estimate_full(["1.5", "2.0", "-0.5"], 0.3),
     lambda x: estimate_proxy(x.astype(complex), 0.1),
     lambda x: estimate_proxy([np.complex128(1 + 2j), 3.0], 0.1),
     lambda x: huber_location([1 + 2j, 3.0]),
@@ -80,20 +85,26 @@ class TestOls:
     lambda x: calibrate_grid_mc(x, None),
     lambda x: huber_location(x, None),
     lambda x: huber_location(x, "a"),
+    lambda x: huber_location(x, "1.345"),
     lambda x: trimmed_mean(x, None),
+    lambda x: trimmed_mean(x, "0.1"),
     lambda x: winsorized_mean(x, None),
     lambda x: empirical_moments(x, None, 1.5),
     lambda x: empirical_moments(x, 0.0, None),
     lambda x: empirical_moments(x, 0.0, 1.5, winsor_fraction=None),
     lambda x: empirical_moments(x, 0.0, 1.5, zero_floor=None),
-], ids=["full-alpha-None", "full-alpha-str", "proxy-alpha-list",
-        "grid-alpha-None", "ols-complex", "proxy-complex-array",
+], ids=["full-alpha-None", "full-alpha-str", "full-alpha-numeric-str",
+        "full-alpha-numeric-bytes", "full-grid-alphas-str",
+        "full-grid-alphas-bytes", "proxy-alpha-list",
+        "grid-alpha-None", "ols-complex", "full-sample-numeric-str",
+        "proxy-complex-array",
         "proxy-complex-scalars",
         "huber-complex", "baseline-dict", "grid-step-None", "band-str",
         "sweep-band-None", "grid-mc-complex-alphas", "full-grid-alphas-float",
         "proxy-grid-alphas-float", "grid-mc-alphas-float",
         "grid-mc-alphas-None", "huber-tuning-None", "huber-tuning-str",
-        "trimmed-fraction-None", "winsorized-fraction-None",
+        "huber-tuning-numeric-str", "trimmed-fraction-None",
+        "trimmed-fraction-numeric-str", "winsorized-fraction-None",
         "moments-center-None", "moments-p-None", "moments-winsor-None",
         "moments-floor-None"])
 def test_bad_argument_types_raise_value_error(call):
