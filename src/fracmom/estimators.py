@@ -20,7 +20,7 @@ from .basis import ESTIMATOR_BAND, alpha_list, basis_value, second_exponent
 from .efficiency import build_correlant_system, system_rows  # noqa: F401
 from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
     float_array, non_finite_errors, row_blocks, sample_rows
-from .moments import MomentRows, moment_rows, moment_sums
+from .moments import MomentRows, moment_sums
 from .moments import empirical_moments  # noqa: F401
 
 METHOD_FULL = "full"
@@ -249,11 +249,11 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
     # start's masks serve every alpha of a grid, so they are replaced here,
     # never updated in place
     going, proxied, xbar, fl, lo, hi = start
-    p = m.p
+    p, n = m.p, x.shape[1]
     mu = xbar
     for it in range(1, MAX_OUTER_ITERS + 1):
-        if it > 1:
-            m = moment_rows(x, mu[:, None], (p,), fl)[0]
+        if it > 1:  # moment_rows' arithmetic, without its list
+            m = MomentRows(p, moment_sums(x, mu[:, None], (p,), fl)[0] / n)
         sys = system_rows(m)
         nu_pm1, sigma_p = m.values[1], m.values[4]
         # the weighted score z and minus its slope in mu
