@@ -85,10 +85,10 @@ def system_rows(m: MomentRows) -> SystemRows:
     # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
     # rows where that bound is not 4x under COND_CAP (rounding moves cond by
     # far less) need their condition number to settle cond > COND_CAP.  A
-    # finite det has finite entries, whose cond is not NaN
+    # NaN cond (entries whose squares overflow) does not exceed it
     tr = f11 + f22
     if np.count_nonzero(tr * tr < 0.25 * COND_CAP * det) < det.size:
-        regular &= _cond_2x2(f11, f12, f22) <= COND_CAP
+        regular &= ~(_cond_2x2(f11, f12, f22) > COND_CAP)
     h1 = (f22 - f12 * b2) / det  # b1 = 1
     h2 = (f11 * b2 - f12) / det
     return SystemRows(f11, f12, f22, b2, h1, h2, det, regular)

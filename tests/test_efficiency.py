@@ -22,7 +22,7 @@ from fracmom import (
     second_exponent,
     theoretical_moments,
 )
-from fracmom.efficiency import g2_rows
+from fracmom.efficiency import g2_rows, system_rows
 
 LAPLACE_RAW = parse_spec("laplace", standardized=False)
 BAND_REFUSED = "band must be finite, >= 0 and leave a point of the alpha grid"
@@ -72,6 +72,17 @@ class TestCorrelantSystem:
                                 nu_2p=3.0, sigma_p=0.0)
         with pytest.raises(NonFiniteMoment):
             build_correlant_system(m)
+
+    def test_nan_condition_number_is_not_refused(self):
+        # det is finite, but (f11 - f22)^2 overflows, so cond is inf / inf:
+        # NaN does not exceed COND_CAP, so the system is accepted, and
+        # system_rows marks the row regular for the full solver too
+        m = FractionalMomentSet(p=1.3, c2=4e-34, nu_pm1=2e77, nu_pp1=1.4e94,
+                                nu_2p=7.3e155, sigma_p=-37.0)
+        s = build_correlant_system(m)
+        assert math.isnan(s.cond) and math.isfinite(s.det)
+        with np.errstate(all="ignore"):
+            assert system_rows(m.rows()).regular[0]
 
     def test_overflowing_products_refused(self):
         # near 1e150 the moments are finite but c2 * f22 and f12^2 overflow,
