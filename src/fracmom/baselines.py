@@ -26,7 +26,10 @@ MAD_TO_SD = 1.4826
 def median_rows(x: np.ndarray) -> np.ndarray:
     """np.median along the last axis of an (M, N) array, by the same
     arithmetic: a -0.0 median comes out +0.0 and a row holding a NaN has a
-    NaN median."""
+    NaN median.  One exception: where the sum of an even row's two finite
+    middle values overflows, the median is lower / 2 + upper / 2, which
+    stays inside the row, not inf.  That sum warns of the overflow, so call
+    it under np.errstate."""
     n = x.shape[-1]
     k = n // 2
     # one kth: numpy's selection with more is several times slower at large
@@ -44,8 +47,16 @@ def median_rows(x: np.ndarray) -> np.ndarray:
         both = np.maximum.reduceat(part, [0, k], axis=-1)
         lower, top = both[:, 0], both[:, 1]
         mid = (lower + part[:, k]) / 2.0 + 0.0
-    if np.count_nonzero(nan := np.isnan(top)):
-        mid[nan] = np.nan
+    # one test on the common path: mid - top is finite unless the row holds
+    # a NaN (top is NaN), mid is not finite, or the difference of two finite
+    # values of opposite sign overflows
+    fine = np.isfinite(mid - top)
+    if np.count_nonzero(fine) < fine.size:
+        if not n % 2:
+            upper = part[:, k]
+            over = np.isinf(mid) & np.isfinite(lower) & np.isfinite(upper)
+            mid[over] = lower[over] / 2.0 + upper[over] / 2.0
+        mid[np.isnan(top)] = np.nan
     return mid
 
 
@@ -112,19 +123,19 @@ def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
     tuning_c = real_value(tuning_c, "tuning_c")
     if not tuning_c > 0.0:  # NaN too
         raise ValueError("tuning_c must be > 0")
-    med = median_rows(x)
-    work = np.subtract(x, med[:, None])  # reused for every pass's weights
-    mad = median_rows(np.abs(work, out=work))
-    out = med.copy()  # a zero MAD returns the median
-    live = np.flatnonzero(mad != 0.0)
-    if live.size == 0:
-        return out
-    xs, mu, s = x, med, MAD_TO_SD * mad
-    if live.size < len(x):
-        xs, mu, s = x[live], med[live], s[live]
-    k, tol = (tuning_c * s)[:, None], 1e-9 * s
-    w = work[:len(xs)]  # the live rows' slice, taken again when rows drop
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # median_rows' sum may overflow
+        med = median_rows(x)
+        work = np.subtract(x, med[:, None])  # reused for every pass's weights
+        mad = median_rows(np.abs(work, out=work))
+        out = med.copy()  # a zero MAD returns the median
+        live = np.flatnonzero(mad != 0.0)
+        if live.size == 0:
+            return out
+        xs, mu, s = x, med, MAD_TO_SD * mad
+        if live.size < len(x):
+            xs, mu, s = x[live], med[live], s[live]
+        k, tol = (tuning_c * s)[:, None], 1e-9 * s
+        w = work[:len(xs)]  # the live rows' slice, taken again when rows drop
         for it in range(1, HUBER_MAX_ITERS + 1):
             # weights min(1, k / r) with r = |x - mu|, bit for bit as
             # where(r > k, k / r, 1) gives them: k / r is 1 or more unless
@@ -195,28 +206,31 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     # after median and trimmed10 have read them
     out = {name: np.empty(x.shape[0]) for name in BASELINE_IDS
            if name in names}
-    for b in row_blocks(*x.shape):
-        xb, bad = x[b], ~finite[b]
-        if bad.any():
-            # zeros in place of the non-finite rows leave every other row's
-            # estimates as they are; those rows are set to NaN at the end
-            xb = np.where(bad[:, None], 0.0, xb)
-        s = None
-        for name, est in out.items():
-            if name in ("median", "trimmed10", "winsorized10") and s is None:
-                s = np.sort(xb, axis=-1)
-            if name == "mean":
-                est[b] = mean_rows(xb)
-            elif name == "median":
-                est[b] = median_rows(s)
-            elif name == "trimmed10":
-                est[b] = _trimmed_rows(s, 0.1)
-            elif name == "winsorized10":
-                est[b] = _winsorized_rows(s, 0.1)
-            elif name == "huber":
-                est[b] = huber_rows(xb)
-            else:
-                est[b] = median_of_means_rows(xb)
+    with np.errstate(over="ignore"):  # median_rows' sum may overflow
+        for b in row_blocks(*x.shape):
+            xb, bad = x[b], ~finite[b]
+            if bad.any():
+                # zeros in place of the non-finite rows leave every other
+                # row's estimates as they are; those rows are set to NaN at
+                # the end
+                xb = np.where(bad[:, None], 0.0, xb)
+            s = None
+            for name, est in out.items():
+                if s is None and name in ("median", "trimmed10",
+                                          "winsorized10"):
+                    s = np.sort(xb, axis=-1)
+                if name == "mean":
+                    est[b] = mean_rows(xb)
+                elif name == "median":
+                    est[b] = median_rows(s)
+                elif name == "trimmed10":
+                    est[b] = _trimmed_rows(s, 0.1)
+                elif name == "winsorized10":
+                    est[b] = _winsorized_rows(s, 0.1)
+                elif name == "huber":
+                    est[b] = huber_rows(xb)
+                else:
+                    est[b] = median_of_means_rows(xb)
     if not finite.all():
         for est in out.values():
             est[~finite] = np.nan

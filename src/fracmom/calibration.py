@@ -185,9 +185,19 @@ def _epanechnikov_density(points: np.ndarray, data: np.ndarray,
     n = data.size
     out = np.empty(points.size)
     for b in row_blocks(points.size, n):
-        u = (points[b, None] - data[None, :]) / h
-        k = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        # one array per block, every step in place: k = 0.75 * (1 - u * u)
+        # with u = (point - datum) / h, then zero where not |u| <= 1, as
+        # np.where(np.abs(u) <= 1.0, k, 0.0) gives it.  Where |u| > 1, u * u
+        # rounds to more than 1 and k is below zero; where u is NaN, k is
+        # NaN; elsewhere k >= 0, never -0.0.  So fmax with 0 is that rule
+        k = np.subtract(points[b, None], data[None, :])
+        k /= h
+        np.multiply(k, k, out=k)
+        np.subtract(1.0, k, out=k)
+        k *= 0.75
+        np.fmax(k, 0.0, out=k)
         out[b] = k.sum(axis=1) / (n * h)
+        del k  # before the next block's array is allocated beside it
     return out
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SWEEP_BAND
+from .basis import SWEEP_BAND, alpha_list
 from .calibration import calibrate_grid_mc, calibrate_oracle, calibrate_plugin
 from .distributions import parse_spec, shape_summary
 from .efficiency import alpha_grid, g2_sweep
@@ -111,7 +111,7 @@ def _count(v) -> int:
 _DESIGN_FIELDS = {
     "distributions": lambda v: tuple(parse_spec(s) for s in v),
     "n_values": lambda v: tuple(_count(n) for n in v),
-    "alpha_values": lambda v: tuple(float(a) for a in v),
+    "alpha_values": lambda v: tuple(alpha_list(v)),
     "replicates": _count,
     "base_seed": _count,
     "estimators": tuple,

@@ -59,10 +59,15 @@ BLOCK_ELEMENTS = 2**16
 def float_array(values, what: str = "samples") -> np.ndarray:
     """values as an array of floats.  Raises ValueError where they are not
     real numbers: complex values included, whose imaginary parts numpy
-    would drop, and strings or bytes, which numpy would parse."""
+    would drop, and strings or bytes, which numpy would parse, also as the
+    items of an object array."""
     if not hasattr(values, "dtype"):  # a list: numpy finds its type first
         values = np.asarray(values)
-    if values.dtype.kind not in "cSU":  # complex values, strings, bytes
+    kind = values.dtype.kind
+    if kind == "O" and any(isinstance(v, (str, bytes, bytearray))
+                           for v in values.flat):
+        kind = "U"  # numpy would parse them as it parses a string array
+    if kind not in "cSU":  # complex values, strings, bytes
         try:
             return np.asarray(values, dtype=float)
         except TypeError:

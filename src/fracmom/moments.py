@@ -93,9 +93,9 @@ def moment_rows(x: np.ndarray, center, ps,
     """Plug-in moment sets of the residuals of every row of the (M, N) array
     ``x``, one MomentRows per exponent in the sequence ``ps``, in order.
     ``center`` and ``zero_floor`` are scalars or (M, 1) columns; the
-    arguments are those of empirical_moments, unchecked.  The residuals,
-    their absolute values and signs and c2 are computed once per call; only
-    the four sums that depend on p are computed at each exponent."""
+    arguments are those of empirical_moments, unchecked.  The residuals, their
+    absolute values and c2 are computed once per call; only the four sums
+    that depend on p are computed at each exponent."""
     # np.mean's arithmetic, one pairwise sum per row and a division, without
     # its per-call overhead
     return [MomentRows(p, sums / x.shape[-1])
@@ -105,27 +105,31 @@ def moment_rows(x: np.ndarray, center, ps,
 def moment_sums(x: np.ndarray, center, ps, zero_floor) -> list[np.ndarray]:
     """moment_rows' row sums before the division by N: one (5, M) array per
     exponent in ``ps``, rows in MomentRows order."""
+    # two arrays of x's size: the residuals and one work array.  The signed
+    # sums come first, sign(xi) * |xi|**p taken as copysign(|xi|**p, xi),
+    # the sign rule of basis_value, while the residuals still hold their
+    # signs; the residuals then become their absolute values in place.
+    # The ufuncs take their out arrays by position, which costs less per
+    # call than the keyword (np.maximum deprecates it)
     xi = x - center
-    a = np.abs(xi)
-    # the signs go into their own array: numpy's in-place sign runs a
-    # branching scalar loop, several times slower on residuals of random
-    # sign than its vectorized loop into another array, with the same bits;
-    # the residuals' array then serves as the powers' work array
-    sign = np.sign(xi)
-    work = np.multiply(a, a, out=xi)
-    c2 = np.add.reduce(work, axis=-1)
-    out = []
+    work = None  # the first np.abs allocates it
+    signed = []
     for p in ps:
+        work = np.abs(xi, work)
+        np.power(work, p, work)
+        signed.append(np.add.reduce(np.copysign(work, xi, work), axis=-1))
+    a = np.abs(xi, xi)
+    c2 = np.add.reduce(np.multiply(a, a, work), axis=-1)
+    out = []
+    for p, sigma in zip(ps, signed):
         sums = [c2]
         for q in (p - 1.0, p + 1.0, 2.0 * p):
             if q < 0.0:  # |residual| is clamped only under negative exponents
-                np.power(np.maximum(a, zero_floor, out=work), q, out=work)
+                np.power(np.maximum(a, zero_floor, out=work), q, work)
             else:
-                np.power(a, q, out=work)
+                np.power(a, q, work)
             sums.append(np.add.reduce(work, axis=-1))
-        np.power(a, p, out=work)
-        work *= sign
-        sums.append(np.add.reduce(work, axis=-1))
+        sums.append(sigma)
         out.append(np.array(sums))
     return out
 

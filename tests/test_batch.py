@@ -222,6 +222,9 @@ def brentq_proxy(x, alpha, widenings=None) -> tuple[float, int]:
     a = float(alpha)
     p = second_exponent(a)
     med = float(np.median(x))
+    if math.isinf(med):  # the finite middle pair's sum overflowed
+        lower, upper = np.sort(x)[len(x) // 2 - 1:len(x) // 2 + 1]
+        med = float(lower / 2.0 + upper / 2.0)
     if np.max(x) == np.min(x):
         return med, 0
     mad = float(np.median(np.abs(x - med)))
@@ -313,8 +316,8 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     _assert_proxy_rows_match_brentq(wide, alpha)
     # a row whose MAD is 0 need not be constant: 60 equal values and one
     # other, and 31 against 30, must search; the constant rows keep their
-    # medians with 0 iterations, also where the median of an even count of
-    # equal values overflows to inf and with it the MAD
+    # medians with 0 iterations, also where the sum of the middle pair of an
+    # even count of equal values overflows
     flat = np.array([[0.0] * 60 + [1.0], [5.0] * 31 + [-2.0] * 30,
                      np.full(61, -2.5)])
     _assert_proxy_rows_match_brentq(flat, alpha)
@@ -324,7 +327,7 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     huge = np.array([np.full(4, 1e308), np.full(4, -1e308)])
     _assert_proxy_rows_match_brentq(huge, alpha)
     rows = estimate_proxy_rows(huge, alpha)
-    assert rows.theta_hat.tolist() == [math.inf, -math.inf]
+    assert rows.theta_hat.tolist() == [1e308, -1e308]
     assert rows.outer_iters.tolist() == [0, 0]
 
 

@@ -18,8 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_proxy, \
-    parse_spec, sample
+from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_full, \
+    estimate_proxy, parse_spec, sample
 from fracmom import calibration, errors, estimators
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
@@ -158,13 +158,45 @@ def test_calibrator_memory_is_matrix_index_and_blocks(criterion):
 
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
 def test_proxy_call_allocates_two_rows_of_work(alpha):
-    # the work array's two slabs take every score's residuals and basis
-    # values; the median and the robust scale copy the row on their own
+    # the proxy's work array's two slabs take every score's residuals and
+    # basis values; each moment pass of a full call holds the residuals and
+    # one work array; the median and the robust scale copy the row on their
+    # own
     n = 200_000
     x = sample(parse_spec("laplace"), n, [2026, 15])
-    estimate_proxy(x, alpha)
-    peak = _peak_bytes(lambda: estimate_proxy(x, alpha))
-    assert peak < 2.5 * n * 8, peak / (n * 8)
+    for estimate in (estimate_proxy, estimate_full):
+        estimate(x, alpha)
+        peak = _peak_bytes(lambda: estimate(x, alpha))
+        assert peak < 2.5 * n * 8, (estimate.__name__, peak / (n * 8))
+
+
+def test_entropy_density_holds_one_block_of_work():
+    # every block's kernel values are computed in place in one array of
+    # the block's size, beside the (N,) density and numpy's buffers for the
+    # broadcast subtraction (2 x 8192 floats)
+    n = 2000
+    x = sample(parse_spec("laplace"), n, [2026, 16])
+    h = silverman_bandwidth(x)
+    peak = _peak_bytes(lambda: _epanechnikov_density(x, x, h))
+    assert peak < n * 8 + 1.5 * BLOCK_BYTES, peak / BLOCK_BYTES
+
+
+def test_entropy_density_is_the_where_formula():
+    # zero where not |u| <= 1, bit for bit: u at exactly +-1, one ulp
+    # either side of it, +-inf and NaN, and many random u near the edges
+    one = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    edges = np.array([0.0, 1.0, -1.0, *one, *(-v for v in one), 0.5,
+                      math.inf, -math.inf, math.nan, 1e308, -1e308])
+    rng = make_rng([15, 16])
+    points = np.concatenate([edges, rng.laplace(size=300)])
+    data = np.concatenate([edges, rng.laplace(size=400)])
+    with np.errstate(all="ignore"):
+        for h in (1.0, 0.3):
+            u = (points[:, None] - data[None, :]) / h
+            k = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+            expected = k.sum(axis=1) / (data.size * h)
+            got = _epanechnikov_density(points, data, h)
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

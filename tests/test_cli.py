@@ -129,9 +129,11 @@ class TestMcCommand:
         {"n_value": [25]},
         {"estimators": ["huber"]},
         {"alpha_values": [1.5]},
+        {"alpha_values": ["0.3", "0.7"]},
         {"replicates": 0},
         None,
-    ], ids=["unknown-key", "estimator", "alpha", "replicates", "not-object"])
+    ], ids=["unknown-key", "estimator", "alpha", "alpha-strings", "replicates",
+            "not-object"])
     def test_bad_design_is_usage_error(self, tmp_path, capsys, change):
         design = {"distributions": ["laplace"], "n_values": [20],
                   "alpha_values": [0.05], "replicates": 10, "base_seed": 3,

@@ -26,6 +26,7 @@ from fracmom import (
     trimmed_mean,
     winsorized_mean,
 )
+from fracmom.baselines import median_rows
 from fracmom.estimators import TOL, estimate_full_grid, estimate_proxy_grid
 
 ALPHAS = (0.05, 0.30, 0.70, 0.95)
@@ -60,6 +61,22 @@ class TestOls:
             assert math.isfinite(m) and min(x) <= m <= max(x)
 
 
+def test_median_of_finite_values_near_the_float_limit():
+    # the sum of an even row's two middle values overflows; its median,
+    # and every estimate that starts from it, must not
+    x = np.full(4, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = (estimate_proxy(x, 0.3).theta_hat,
+                     estimate_full(x, 0.3).theta_hat, huber_location(x),
+                     run_baseline("median", x))
+    assert estimates == (1e308,) * 4
+    rows = np.array([[1e308, 1.5e308, 1.7e308, 1e308], np.full(4, -1e308),
+                     [-1e308, -1.7e308, 1.0, -1e308], [1e308, 2.0, 1e308, 1.0]])
+    with np.errstate(over="ignore"):
+        assert median_rows(rows).tolist() == [1.25e308, -1e308, -1e308, 5e307]
+
+
 @pytest.mark.parametrize("call", [
     lambda x: estimate_full(x, None),
     lambda x: estimate_full(x, "a"),
@@ -71,6 +88,9 @@ class TestOls:
     lambda x: estimate_proxy_grid(x[None, :], (0.1, None)),
     lambda x: estimate_ols([1 + 2j, 3.0]),
     lambda x: estimate_full(["1.5", "2.0", "-0.5"], 0.3),
+    lambda x: estimate_full(np.array(["1.5", "2", "-0.5", "3.25"],
+                                     dtype=object), 0.3),
+    lambda x: estimate_proxy(np.array([1.5, b"2"], dtype=object), 0.3),
     lambda x: estimate_proxy(x.astype(complex), 0.1),
     lambda x: estimate_proxy([np.complex128(1 + 2j), 3.0], 0.1),
     lambda x: huber_location([1 + 2j, 3.0]),
@@ -97,6 +117,7 @@ class TestOls:
         "full-alpha-numeric-bytes", "full-grid-alphas-str",
         "full-grid-alphas-bytes", "proxy-alpha-list",
         "grid-alpha-None", "ols-complex", "full-sample-numeric-str",
+        "full-sample-object-str", "proxy-sample-object-bytes",
         "proxy-complex-array",
         "proxy-complex-scalars",
         "huber-complex", "baseline-dict", "grid-step-None", "band-str",
