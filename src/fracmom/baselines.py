@@ -206,7 +206,9 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     # after median and trimmed10 have read them
     out = {name: np.empty(x.shape[0]) for name in BASELINE_IDS
            if name in names}
-    with np.errstate(over="ignore"):  # median_rows' sum may overflow
+    # median_rows' sum may overflow, and so may a block mean, whose inf
+    # median_rows then meets
+    with np.errstate(over="ignore", invalid="ignore"):
         for b in row_blocks(*x.shape):
             xb, bad = x[b], ~finite[b]
             if bad.any():
