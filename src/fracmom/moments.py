@@ -93,9 +93,9 @@ def moment_rows(x: np.ndarray, center, ps,
     """Plug-in moment sets of the residuals of every row of the (M, N) array
     ``x``, one MomentRows per exponent in the sequence ``ps``, in order.
     ``center`` and ``zero_floor`` are scalars or (M, 1) columns; the
-    arguments are those of empirical_moments, unchecked.  The residuals, their
-    absolute values and c2 are computed once per call; only the four sums
-    that depend on p are computed at each exponent."""
+    arguments are those of empirical_moments, unchecked.  The residuals and
+    c2 are computed once per call; only the four sums that depend on p are
+    computed at each exponent."""
     # np.mean's arithmetic, one pairwise sum per row and a division, without
     # its per-call overhead
     return [MomentRows(p, sums / x.shape[-1])

@@ -173,7 +173,7 @@ def test_proxy_call_allocates_two_rows_of_work(alpha):
 def test_entropy_density_holds_one_block_of_work():
     # every block's kernel values are computed in place in one array of
     # the block's size, beside the (N,) density and numpy's buffers for the
-    # broadcast subtraction (2 x 8192 floats)
+    # broadcast subtraction (about 2 x 8192 floats)
     n = 2000
     x = sample(parse_spec("laplace"), n, [2026, 16])
     h = silverman_bandwidth(x)

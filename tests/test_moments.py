@@ -165,8 +165,8 @@ class TestMomentRows:
     @pytest.mark.parametrize("per_row", [False, True])
     def test_long_rows_match_the_in_place_sign(self, per_row):
         """At N = 10^4 numpy takes its vectorized loops: the signs taken
-        into their own array give the bits of reference_moment_rows' sign
-        taken in place, on the residuals the plug-in winsorizes about 0."""
+        by copysign give the bits of reference_moment_rows' sign taken in
+        place, on the residuals the plug-in winsorizes about 0."""
         n = 10_000
         rng = np.random.default_rng(20)
         x = rng.laplace(size=(8, n))
