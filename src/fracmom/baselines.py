@@ -61,10 +61,11 @@ def median_rows(x: np.ndarray) -> np.ndarray:
 
 
 def mean_rows(x: np.ndarray) -> np.ndarray:
-    """np.mean along the last axis of an (M, N) array, by the same
-    arithmetic, except on a row of finite values whose sum overflows: that
-    row's mean is taken over the row divided by its largest magnitude, then
-    scaled back, so it stays inside the row's range."""
+    """np.mean along the last axis of an (M, N) array of rows, or of an
+    (M, blocks, q) array of blocks, by the same arithmetic, except on a row
+    of finite values whose sum overflows: that row's mean is taken over the
+    row divided by its largest magnitude, then scaled back, so it stays
+    inside the row's range."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
         mean = np.add.reduce(x, axis=-1) / x.shape[-1]
     wide = ~np.isfinite(mean)
@@ -92,7 +93,7 @@ def _trimmed_rows(s: np.ndarray, fraction: float) -> np.ndarray:
     # s holds sorted rows
     n = s.shape[-1]
     k = _cut(n, fraction, "trimming")
-    return np.mean(s[:, k:n - k], axis=-1)
+    return mean_rows(s[:, k:n - k])
 
 
 def _winsorized_rows(s: np.ndarray, fraction: float) -> np.ndarray:
@@ -102,7 +103,7 @@ def _winsorized_rows(s: np.ndarray, fraction: float) -> np.ndarray:
     if k > 0:
         s[:, :k] = s[:, k:k + 1]
         s[:, n - k:] = s[:, n - 1 - k:n - k]
-    return np.mean(s, axis=-1)
+    return mean_rows(s)
 
 
 def trimmed_mean(sample, fraction: float) -> float:
@@ -157,7 +158,6 @@ def huber_rows(x: np.ndarray, tuning_c: float = HUBER_TUNING) -> np.ndarray:
                 live, xs, tol, k = live[keep], xs[keep], tol[keep], k[keep]
                 nxt, w = nxt[keep], work[:len(xs)]
             mu = nxt
-    return out
 
 
 def huber_location(sample, tuning_c: float = HUBER_TUNING) -> float:
@@ -181,10 +181,10 @@ def median_of_means_rows(x: np.ndarray, blocks: int | None = None,
     q, longer = divmod(n, blocks)
     cut = longer * (q + 1)
     means = np.concatenate(
-        [np.mean(x[:, :cut].reshape(rows, longer, q + 1), axis=-1),
-         np.mean(x[:, cut:].reshape(rows, blocks - longer, q), axis=-1)],
-        axis=-1)
-    return median_rows(means)
+        [mean_rows(x[:, :cut].reshape(rows, longer, q + 1)),
+         mean_rows(x[:, cut:].reshape(rows, blocks - longer, q))], axis=-1)
+    with np.errstate(over="ignore"):  # median_rows' sum may overflow
+        return median_rows(means)
 
 
 def median_of_means(sample, blocks: int | None = None) -> float:
@@ -206,9 +206,7 @@ def baseline_rows(samples, names=BASELINE_IDS) -> dict[str, np.ndarray]:
     # after median and trimmed10 have read them
     out = {name: np.empty(x.shape[0]) for name in BASELINE_IDS
            if name in names}
-    # median_rows' sum may overflow, and so may a block mean, whose inf
-    # median_rows then meets
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # median_rows' sum may overflow
         for b in row_blocks(*x.shape):
             xb, bad = x[b], ~finite[b]
             if bad.any():

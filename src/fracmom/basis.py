@@ -73,15 +73,11 @@ def collision_roots(i: int, j: int) -> tuple[float, float]:
     The second root is negative for every admissible pair, so 1/2 is the only
     collision inside [0, 1].
     """
-    if i < 1 or j < 1:
-        raise ValueError("indices must be >= 1")
+    if not (1 <= i < np.inf and 1 <= j < np.inf):  # NaN fails too
+        raise ValueError("indices must be finite and >= 1")
     if i == j:
         raise ValueError("indices must differ")
-    if i * j <= 1:
-        raise ValueError(f"invalid pair ({i}, {j}): need i*j > 1")
-    neg = -1.0 / (i * j - 1)
-    assert neg < 0.0
-    return 0.5, neg
+    return 0.5, -1.0 / (i * j - 1)
 
 
 def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import mean_rows
 from .basis import SWEEP_BAND, alpha_list, second_exponent
 from .distributions import DistributionSpec, make_rng, shape_summary
 # estimate_full, empirical_moments and g2_with_flag are no longer called
@@ -94,8 +95,7 @@ def _with_resamples(resid: np.ndarray, bootstrap_b: int,
     rows = np.empty((bootstrap_b + 1, resid.size))
     rows[0] = resid
     boots = _draw(resid, rows[1:], make_rng([seed, 2401]))
-    # each mean by np.mean's arithmetic: one pairwise sum and a division
-    boots -= (np.add.reduce(boots, axis=-1) / resid.size)[:, None]
+    boots -= mean_rows(boots)[:, None]
     return rows
 
 
@@ -118,12 +118,12 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     x = float_array(sample).ravel()
     if x.size < 30:
         raise SmallSample(f"plug-in calibration needs N >= 30, got {x.size}")
-    x = sample_row(x)[0]
-    resid = x - float(np.mean(x))
+    x = sample_row(x)
+    resid = x[0] - mean_rows(x)[0]
     alphas = alpha_grid(grid_step, band)
     values, flags = _empirical_curves(winsorize_rows(
         _with_resamples(resid, bootstrap_b, seed), PLUGIN_WINSOR), alphas)
-    usable = ~flags & np.isfinite(values)
+    usable = ~flags
     if not usable[0].any():
         raise AllGridDegenerate("no usable ratio value on the alpha grid")
     best = np.argmin(np.where(usable, values, np.inf), axis=1)
@@ -223,7 +223,7 @@ def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     dens = _epanechnikov_density(resid, resid, h)
     h_hat = float(-np.mean(np.log(dens)))
     k_hat = math.exp(h_hat) / (2.0 * sd)
-    centered = resid - resid.mean()
+    centered = resid - mean_rows(resid[None, :])[0]
     g4 = float(np.mean(centered**4) / np.mean(centered**2) ** 2 - 3.0)
     kappa = 1.0 / math.sqrt(g4 + 3.0) if g4 > -3.0 else None
     return EntropyDiagnostic(h_hat, k_hat, kappa, h)

@@ -298,15 +298,9 @@ def estimate_proxy(sample, alpha) -> EstimateResult:
     """Scalar signed-power root: solve sum sign(x-mu)|x-mu|^p = 0 by
     bracketing.  Valid for any finite sample, including infinite-variance
     noise, since it needs no moment matrix.  The batch of one of
-    estimate_proxy_rows."""
+    estimate_proxy_grid at one alpha."""
     x = float_array(sample).reshape(1, -1)
-    return estimate_proxy_rows(x, alpha).result(0)
-
-
-def estimate_proxy_rows(samples, alpha) -> EstimateRows:
-    """estimate_proxy on every row of an (M, N) matrix, all rows at once:
-    the batch of one alpha of estimate_proxy_grid."""
-    return estimate_proxy_grid(samples, (alpha,))[0]
+    return estimate_proxy_grid(x, (alpha,))[0].result(0)
 
 
 def estimate_proxy_grid(samples, alphas) -> list[EstimateRows]:

@@ -172,7 +172,7 @@ def _mc_block(design: McDesign, g2_theo: dict,
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
-        return max(1, int(workers))
+        return max(1, integer_value(workers, "workers"))
     env = os.environ.get(WORKERS_ENV)
     return max(1, int(env)) if env else 1
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fracmom import (
     trimmed_mean,
     winsorized_mean,
 )
-from fracmom.baselines import baseline_rows
+from fracmom.baselines import baseline_rows, mean_rows
 
 OUTLIER_SAMPLE = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
 
@@ -163,3 +164,40 @@ class TestDispatch:
             assert run_baseline(name, x + 9.75) == pytest.approx(
                 base + 9.75, abs=1e-12)
             assert run_baseline(name, -x) == pytest.approx(-base, abs=1e-12)
+
+
+def test_averages_of_finite_values_near_the_float_limit():
+    # the block and trimmed sums overflow; every average is mean_rows',
+    # which stays inside the data, and warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sign in (1.0, -1.0):
+            x = np.full(16, sign * 1e308)
+            for name in BASELINE_IDS:
+                assert run_baseline(name, x) == sign * 1e308, name
+            assert trimmed_mean(x[:10], 0.1) == sign * 1e308
+            assert winsorized_mean(x[:10], 0.1) == sign * 1e308
+            assert median_of_means(x) == sign * 1e308
+
+
+def test_mean_rows_is_np_mean_on_trimmed_slices_and_blocks():
+    # the slices and block reshapes the baselines hand to mean_rows, and a
+    # sample as one row, as the plug-in calibrator centres it
+    rng = np.random.default_rng(2024)
+    for n in range(1, 300):
+        x = rng.standard_t(2, size=n)
+        assert mean_rows(x[None, :])[0].hex() == np.mean(x).hex()
+    for scale in (1e-5, 1.0, 1e4):
+        for n in (7, 16, 50, 101):
+            s = np.sort(scale * rng.standard_t(2, size=(5, n)), axis=-1)
+            for k in range(n // 2):
+                part = s[:, k:n - k]
+                assert mean_rows(part).tobytes() == \
+                    np.mean(part, axis=-1).tobytes()
+            for blocks in (1, 2, 3, math.ceil(math.sqrt(n)), n):
+                q, longer = divmod(n, blocks)
+                cut = longer * (q + 1)
+                for part in (s[:, :cut].reshape(5, longer, q + 1),
+                             s[:, cut:].reshape(5, blocks - longer, q)):
+                    assert mean_rows(part).tobytes() == \
+                        np.mean(part, axis=-1).tobytes()

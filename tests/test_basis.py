@@ -82,6 +82,11 @@ class TestCollisionRoots:
             collision_roots(2, 2)
         with pytest.raises(ValueError):
             collision_roots(0, 3)
+        # NaN and inf once reached an assert: -1 / (inf - 1) is -0.0
+        for pair in [(math.nan, 2), (2, math.nan), (math.inf, 2),
+                     (2, math.inf)]:
+            with pytest.raises(ValueError):
+                collision_roots(*pair)
 
     def test_no_other_collision_inside_unit_interval(self):
         # sign scan at step 1e-3: single crossing, located at 1/2

@@ -1,7 +1,7 @@
 """The batched kernels against their batch of one and their per-row code.
 
-estimate_full_grid, estimate_proxy_rows, the baseline row kernels and the
-plug-in ratio curve evaluate every row of an (M, N) matrix at once; row r
+estimate_full_grid, estimate_proxy_grid, the baseline row kernels and
+the plug-in ratio curve evaluate every row of an (M, N) matrix at once; row r
 must come out exactly as that row alone would, whatever the other rows hold.
 estimate_full_grid and estimate_proxy_grid must give at every alpha of a grid
 what they give on that alpha alone.
@@ -55,8 +55,7 @@ from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _with_resamples
 from fracmom import errors, estimators
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
-    EstimateResult, _brent, estimate_full_grid, estimate_proxy_grid, \
-    estimate_proxy_rows
+    EstimateResult, _brent, estimate_full_grid, estimate_proxy_grid
 from fracmom.moments import winsorize_rows
 
 ROW_KINDS = ("random", "random", "constant", "tied", "nan")
@@ -135,7 +134,7 @@ def test_full_rows_match_batch_of_one(x, alpha):
         if rows.method[r] == "proxy":
             # a row the full solver hands to the proxy is the proxy's row
             assert _row_bits(rows, r) == _row_bits(
-                estimate_proxy_rows(x[r:r + 1], alpha), 0)
+                estimate_proxy_grid(x[r:r + 1], (alpha,))[0], 0)
 
 
 def test_nan_row_fails_alone():
@@ -269,13 +268,13 @@ def _row_outcome(rows, r):
 
 
 def _assert_proxy_rows_match_brentq(x, alpha):
-    rows = estimate_proxy_rows(x, alpha)
+    rows = estimate_proxy_grid(x, (alpha,))[0]
     with np.errstate(all="ignore"):
         for r in range(x.shape[0]):
             expected = _proxy_outcome(brentq_proxy, x[r], alpha)
             assert _row_outcome(rows, r) == expected, r
-            assert _row_outcome(estimate_proxy_rows(x[r:r + 1], alpha),
-                                0) == expected, r
+            one = estimate_proxy_grid(x[r:r + 1], (alpha,))[0]
+            assert _row_outcome(one, 0) == expected, r
             assert rows.ok[r] == (r not in rows.errors)
 
 
@@ -298,7 +297,7 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     widenings = []
     brentq_proxy(x[3], alpha, widenings)
     assert (widenings[0] > 0) == (alpha >= 0.5)
-    assert estimate_proxy_rows(x[3:4], alpha).ok.all()
+    assert estimate_proxy_grid(x[3:4], (alpha,))[0].ok.all()
     # rows whose brackets widen 0 times, once, several times and until
     # BracketFailure, so that rows still bracketing share score rounds with
     # rows already in Brent steps
@@ -321,12 +320,12 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     flat = np.array([[0.0] * 60 + [1.0], [5.0] * 31 + [-2.0] * 30,
                      np.full(61, -2.5)])
     _assert_proxy_rows_match_brentq(flat, alpha)
-    rows = estimate_proxy_rows(flat, alpha)
+    rows = estimate_proxy_grid(flat, (alpha,))[0]
     assert rows.ok.all() and (rows.outer_iters[:2] > 0).all()
     assert (rows.theta_hat[2], rows.outer_iters[2]) == (-2.5, 0)
     huge = np.array([np.full(4, 1e308), np.full(4, -1e308)])
     _assert_proxy_rows_match_brentq(huge, alpha)
-    rows = estimate_proxy_rows(huge, alpha)
+    rows = estimate_proxy_grid(huge, (alpha,))[0]
     assert rows.theta_hat.tolist() == [1e308, -1e308]
     assert rows.outer_iters.tolist() == [0, 0]
 
@@ -363,7 +362,7 @@ def _assert_proxy_grid_matches_one_alpha_at_a_time(x, alphas):
     grid = estimate_proxy_grid(x, alphas)
     assert len(grid) == len(alphas)
     for alpha, rows in zip(alphas, grid):
-        one = estimate_proxy_rows(x, alpha)
+        one = estimate_proxy_grid(x, (alpha,))[0]
         for name in (f.name for f in fields(rows) if f.name != "errors"):
             assert _bits(getattr(rows, name).tolist()) == \
                 _bits(getattr(one, name).tolist()), (alpha, name)
@@ -411,7 +410,7 @@ def test_refused_row_reads_nan_whatever_the_others_hold():
     bad = np.array([1.0, math.inf, 2.0])
     for x in (bad[None, :], np.stack([bad, np.full(3, 2.0)]),
               np.stack([bad, [1.0, 3.0, 2.0]])):
-        rows = estimate_proxy_rows(x, 0.05)
+        rows = estimate_proxy_grid(x, (0.05,))[0]
         assert list(rows.errors) == [0]
         assert math.isnan(rows.theta_hat[0])
 
@@ -419,7 +418,7 @@ def test_refused_row_reads_nan_whatever_the_others_hold():
 def test_nan_score_row_fails_alone():
     laplace = sample(parse_spec("laplace"), 200, 0)
     x = np.stack([1e200 * laplace + 5.5e200, laplace])
-    rows = estimate_proxy_rows(x, 0.95)
+    rows = estimate_proxy_grid(x, (0.95,))[0]
     assert rows.ok.tolist() == [False, True]
     assert type(rows.errors[0]).__name__ == "NonFiniteMoment"
     assert math.isnan(rows.theta_hat[0])

@@ -29,7 +29,7 @@ from fracmom.calibration import PLUGIN_WINSOR, _draw, \
 from fracmom.distributions import make_rng
 from fracmom.efficiency import alpha_grid
 from fracmom.estimators import EstimateResult, estimate_full_grid, \
-    estimate_proxy_grid, estimate_proxy_rows
+    estimate_proxy_grid
 from fracmom.moments import winsorize_rows
 
 N = 50
@@ -87,7 +87,7 @@ def _kernels(x: np.ndarray) -> dict:
             "density": density.tobytes(),
             "full": [_rows_bits(rows) for rows in
                      estimate_full_grid(x, (0.3, 0.05, 0.95))],
-            "proxy": [_rows_bits(estimate_proxy_rows(x, a))
+            "proxy": [_rows_bits(estimate_proxy_grid(x, (a,))[0])
                       for a in (0.05, 0.95)],
             "baselines": {name: est.tobytes()
                           for name, est in baseline_rows(x).items()},
@@ -104,7 +104,7 @@ def test_blocks_give_what_one_block_gives(monkeypatch, block_rows):
     assert sorted(full.errors) == [2, 9]
     assert full.method[10] == "proxy"
     assert sorted(estimate_full_grid(x, (0.95,))[0].errors) == [2, 9, 10]
-    assert sorted(estimate_proxy_rows(x, 0.95).errors) == [2, 9, 10]
+    assert sorted(estimate_proxy_grid(x, (0.95,))[0].errors) == [2, 9, 10]
     monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * N)
     assert len(list(errors.row_blocks(*x.shape))) == \
         math.ceil(len(x) / block_rows)

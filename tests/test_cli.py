@@ -65,13 +65,19 @@ class TestEstimateCommand:
                          "--alpha", "0.05", "--method", "proxy"]) == 0
         assert "method=proxy" in capsys.readouterr().out
 
-    def test_full_and_proxy_methods(self, data_file, capsys):
+    def test_full_and_proxy_methods(self, data_file, tmp_path, capsys):
         assert cli_main(["estimate", "--data", str(data_file), "--alpha", "0.05",
                          "--method", "proxy"]) == 0
         assert "method=proxy" in capsys.readouterr().out
         assert cli_main(["estimate", "--data", str(data_file), "--alpha", "0.05",
                          "--method", "full"]) == 0
         assert "method=full" in capsys.readouterr().out
+        path = tmp_path / "four.txt"
+        path.write_text("1\n2.5\n-0.5\n3\n", encoding="utf-8")
+        assert cli_main(["estimate", "--data", str(path), "--alpha", "0.3",
+                         "--method", "ols"]) == 0
+        assert capsys.readouterr().out == (
+            "theta_hat=1.5 method=ols_fallback iters=0 converged=1\n")
 
     def test_missing_file_is_runtime_error(self):
         assert cli_main(["estimate", "--data", "no-such-file.txt",

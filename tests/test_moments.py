@@ -343,7 +343,8 @@ class TestQuadratureOracle:
 
 class TestTheoreticalMoments:
     def test_gamma_closed_forms_match_quadrature(self):
-        for name in ("laplace", "gg:0.5", "gg:1.5", "gg:2", "gg:4"):
+        for name in ("laplace", "gg:0.5", "gg:1.5", "gg:2", "gg:4",
+                     "gaussian", "uniform", "arcsine", "triangular"):
             spec = parse_spec(name)
             for q in (-0.5, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
                 cf = abs_moment(spec, q)

@@ -61,6 +61,13 @@ class TestRunMc:
     def test_worker_count_independence(self, small_records):
         assert run_mc(SMALL, workers=4) == small_records
 
+    @pytest.mark.parametrize("workers", ["3", 2.7, True])
+    def test_workers_must_be_an_integer(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_mc(SMALL, workers=workers)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_baseline_mc(SMALL, workers=workers)
+
     def test_g2_theo_populated_for_estimator_cells(self, small_records):
         for r in small_records:
             if r.estimator in ("proxy", "full"):
