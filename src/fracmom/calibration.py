@@ -70,33 +70,55 @@ def calibrate_oracle(spec: DistributionSpec, grid_step: float = 0.05,
 def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in ratio and degeneracy flag of every residual row (axis 0) at
-    every grid alpha (axis 1), from the moments about 0."""
+    every grid alpha (axis 1), from the moments about 0.  Overwrites rows,
+    which moment_rows takes as its residuals."""
     values = np.empty((rows.shape[0], alphas.size))
     flags = np.empty(values.shape, dtype=bool)
     exponents = [second_exponent(a) for a in alphas]
-    for b in row_blocks(*rows.shape):
-        for idx, m in enumerate(moment_rows(rows[b], 0.0, exponents)):
-            values[b, idx], flags[b, idx] = g2_rows(m)
+    with np.errstate(all="ignore"):  # far from 0 the powers overflow
+        for idx, m in enumerate(moment_rows(rows, exponents)):
+            values[:, idx], flags[:, idx] = g2_rows(m)
     return values, flags
 
 
 def _draw(src: np.ndarray, out: np.ndarray, rng) -> np.ndarray:
     """Fill out with resamples of src and return it: rng.choice(src,
     size=out.shape) bit for bit, with the draws gathered straight into out
-    (take buffers out under mode "raise"; the indices are in range)."""
+    (take buffers out under mode "raise"; the indices are in range).
+    Consecutive calls on one generator fill what one call on their outputs
+    stacked fills: for N < 2**32 numpy draws the indices from Philox's
+    32-bit words, and the generator keeps a spare half word from one call
+    for the next."""
     return np.take(src, rng.integers(0, src.size, size=out.shape,
                                      dtype=np.int64), out=out, mode="clip")
 
 
-def _with_resamples(resid: np.ndarray, bootstrap_b: int,
-                    seed: int) -> np.ndarray:
-    """The residuals, then bootstrap_b resamples of them re-centred on their
-    own means, as the rows of one matrix."""
-    rows = np.empty((bootstrap_b + 1, resid.size))
-    rows[0] = resid
-    boots = _draw(resid, rows[1:], make_rng([seed, 2401]))
-    boots -= mean_rows(boots)[:, None]
-    return rows
+def _blocks(rows: int, n: int):
+    """(slice, block) for each row block (errors.row_blocks) of an
+    (rows, n) matrix, every block a view of one array made for the first
+    block, the largest: a caller is done with a block when it takes the
+    next."""
+    buf = None
+    for b in row_blocks(rows, n):
+        if buf is None:
+            buf = np.empty((b.stop, n))
+        yield b, buf[:b.stop - b.start]
+
+
+def _with_resamples(resid: np.ndarray, bootstrap_b: int, seed: int):
+    """(slice, block) for each row block of the (bootstrap_b + 1, N)
+    matrix whose row 0 is the residuals and whose other rows are resamples
+    of them, each re-centred on its own mean, drawn block by block; each
+    block is overwritten by the next (_blocks)."""
+    rng = make_rng([seed, 2401])
+    for b, block in _blocks(bootstrap_b + 1, resid.size):
+        boots = block
+        if b.start == 0:
+            block[0] = resid
+            boots = block[1:]
+        _draw(resid, boots, rng)
+        boots -= mean_rows(boots)[:, None]
+        yield b, block
 
 
 def calibrate_plugin(sample, grid_step: float = 0.05,
@@ -108,9 +130,9 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     Bootstrap resampling of the residuals yields a sensitivity interval for
     alpha*; a spread above 0.1 marks the choice ambiguous and, when the
     sample is large enough, attaches the entropy diagnostic.  The residuals
-    and their resamples are the rows of one matrix, winsorized once and
-    then evaluated at every alpha; a resample with no usable ratio is
-    skipped.
+    and their resamples are drawn, winsorized and evaluated at every alpha
+    one row block at a time, so memory does not grow with bootstrap_b; a
+    resample with no usable ratio is skipped.
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 0:
         raise ValueError("bootstrap_b must be >= 0")
@@ -121,8 +143,12 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     x = sample_row(x)
     resid = x[0] - mean_rows(x)[0]
     alphas = alpha_grid(grid_step, band)
-    values, flags = _empirical_curves(winsorize_rows(
-        _with_resamples(resid, bootstrap_b, seed), PLUGIN_WINSOR), alphas)
+    values = np.empty((bootstrap_b + 1, alphas.size))
+    flags = np.empty(values.shape, dtype=bool)
+    for b, block in _with_resamples(resid, bootstrap_b, seed):
+        values[b], flags[b] = _empirical_curves(
+            winsorize_rows(block, PLUGIN_WINSOR), alphas)
+    del block  # else an error's traceback holds the block array alive
     usable = ~flags
     if not usable[0].any():
         raise AllGridDegenerate("no usable ratio value on the alpha grid")
@@ -149,8 +175,10 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     """Pick alpha by bootstrap variance of the full estimator on the sample.
 
     The sensitivity interval collects every grid alpha whose bootstrap
-    variance is within 5% of the minimum.  The resamples are the rows of one
-    matrix, estimated together over the whole grid.
+    variance is within 5% of the minimum.  The resamples are drawn and
+    estimated over the whole grid one row block at a time, so memory does
+    not grow with bootstrap_b.  A failed row raises its error: that of the
+    first alpha in grid order with one, at its lowest row.
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 100:
         raise ValueError("bootstrap_b must be >= 100")
@@ -160,12 +188,19 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     x = sample_row(sample)[0]
-    boots = _draw(x, np.empty((bootstrap_b, x.size)), make_rng([seed, 7919]))
-    variances = np.empty(alphas.size)
-    for idx, est in enumerate(estimate_full_grid(boots, alphas)):
-        if est.errors:
-            raise est.errors[min(est.errors)]
-        variances[idx] = float(np.var(est.theta_hat, ddof=1))
+    rng = make_rng([seed, 7919])
+    theta = np.empty((alphas.size, bootstrap_b))
+    failed = {}  # alpha index: the error of its lowest failed row
+    for b, block in _blocks(bootstrap_b, x.size):
+        grid = estimate_full_grid(_draw(x, block, rng), alphas)
+        for idx, est in enumerate(grid):
+            if est.errors and idx not in failed:
+                failed[idx] = est.errors[min(est.errors)]
+            theta[idx, b] = est.theta_hat
+    del block  # else the error's traceback holds the block array alive
+    if failed:
+        raise failed[min(failed)]
+    variances = np.array([np.var(t, ddof=1) for t in theta])
     best = int(np.argmin(variances))
     close = alphas[variances <= 1.05 * variances[best]]
     interval = (float(close.min()), float(close.max()))
@@ -201,29 +236,43 @@ def _epanechnikov_density(points: np.ndarray, data: np.ndarray,
     return out
 
 
+def _unit_scale(resid: np.ndarray) -> tuple[np.ndarray, int]:
+    """(resid * 2**-e, e), with e the binary exponent of the largest
+    |resid|: the scaled residuals' largest magnitude lies in [1/2, 1), so
+    that sums of their squares and fourth powers neither overflow nor
+    vanish.  A power of two scales exactly, so ldexp(spread, e) is the
+    spread of resid."""
+    e = int(np.frexp(np.max(np.abs(resid)))[1])
+    return np.ldexp(resid, -e), e
+
+
 def silverman_bandwidth(resid: np.ndarray) -> float:
-    sd = float(np.std(resid, ddof=1))
-    q75, q25 = np.percentile(resid, [75.0, 25.0])
+    unit, e = _unit_scale(resid)
+    sd = float(np.std(unit, ddof=1))
+    q75, q25 = np.percentile(unit, [75.0, 25.0])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-    return 0.9 * spread * resid.size ** (-0.2)
+    return 0.9 * math.ldexp(spread, e) * resid.size ** (-0.2)
 
 
 def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     """Plug-in differential entropy via Epanechnikov KDE, plus the derived
-    entropy coefficient k = exp(H)/(2*sd) and contrexcess."""
+    entropy coefficient k = exp(H)/(2*sd) and contrexcess.  The sd, IQR and
+    kurtosis are taken at unit scale (_unit_scale), so that k and the
+    contrexcess do not depend on the scale of the residuals."""
     resid = float_array(residuals).ravel()
     if resid.size < 100:
         raise SmallSample(f"entropy diagnostic needs N >= 100, got {resid.size}")
     resid = sample_row(resid)[0]
-    sd = float(np.std(resid, ddof=1))
+    unit, e = _unit_scale(resid)
+    sd = float(np.std(unit, ddof=1))
     if sd == 0.0:
         raise DegenerateSample("zero-variance residuals")
     h = silverman_bandwidth(resid)
     dens = _epanechnikov_density(resid, resid, h)
     h_hat = float(-np.mean(np.log(dens)))
-    k_hat = math.exp(h_hat) / (2.0 * sd)
-    centered = resid - mean_rows(resid[None, :])[0]
+    k_hat = math.exp(h_hat) / (2.0 * math.ldexp(sd, e))
+    centered = unit - mean_rows(unit[None, :])[0]
     g4 = float(np.mean(centered**4) / np.mean(centered**2) ** 2 - 3.0)
     kappa = 1.0 / math.sqrt(g4 + 3.0) if g4 > -3.0 else None
     return EntropyDiagnostic(h_hat, k_hat, kappa, h)

@@ -212,7 +212,7 @@ def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     eps = _tie_smoothing(x, center, scale)
     floor = 1e-12 * scale if eps is None else np.maximum(1e-12 * scale, eps)
     fl = floor[:, None]
-    sums = moment_sums(x, center, ps, fl)
+    sums = moment_sums(x - center, ps, fl)
     # np.std(x, ddof=1) by the same arithmetic, c2's row sum, and 0 where
     # N is 1: a finite row's c2 is 0 there
     sd = np.sqrt(sums[0][0] / max(n - 1, 1))
@@ -253,7 +253,7 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
     mu = xbar
     for it in range(1, MAX_OUTER_ITERS + 1):
         if it > 1:  # moment_rows' arithmetic, without its list
-            m = MomentRows(p, moment_sums(x, mu[:, None], (p,), fl)[0] / n)
+            m = MomentRows(p, moment_sums(x - mu[:, None], (p,), fl)[0] / n)
         sys = system_rows(m)
         nu_pm1, sigma_p = m.values[1], m.values[4]
         # the weighted score z and minus its slope in mu

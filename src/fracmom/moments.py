@@ -78,40 +78,42 @@ def winsorize_rows(xi: np.ndarray, fraction: float) -> np.ndarray:
     """Cap the absolute values of every row of the (M, N) array ``xi`` at
     their (1 - fraction) quantile, keeping each value's sign, in place, and
     return ``xi``.  The moments about 0 of the result are the winsorized
-    moments of the residuals ``xi``.  Runs block by block of rows."""
+    moments of the residuals ``xi``.  Runs block by block of rows, in one
+    scratch array of a block's size: the quantile partitions it in place,
+    and |block| is then taken into it again and capped."""
     for b in row_blocks(*xi.shape):
         block = xi[b]
         a = np.abs(block)
-        np.minimum(a, np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True),
-                   out=a)
+        cap = np.quantile(a, 1.0 - fraction, axis=-1, keepdims=True,
+                          overwrite_input=True)
+        np.minimum(np.abs(block, out=a), cap, out=a)
         np.copysign(a, block, out=block)
     return xi
 
 
-def moment_rows(x: np.ndarray, center, ps,
-                zero_floor=1e-12) -> list[MomentRows]:
-    """Plug-in moment sets of the residuals of every row of the (M, N) array
-    ``x``, one MomentRows per exponent in the sequence ``ps``, in order.
-    ``center`` and ``zero_floor`` are scalars or (M, 1) columns; the
-    arguments are those of empirical_moments, unchecked.  The residuals and
-    c2 are computed once per call; only the four sums that depend on p are
-    computed at each exponent."""
+def moment_rows(xi: np.ndarray, ps, zero_floor=1e-12) -> list[MomentRows]:
+    """Plug-in moment sets of every row of the (M, N) array of residuals
+    ``xi``, one MomentRows per exponent in the sequence ``ps``, in order,
+    overwriting ``xi`` with its absolute values.  ``zero_floor`` is a scalar
+    or an (M, 1) column; the arguments are those of empirical_moments,
+    unchecked.  c2 is computed once per call; only the four sums that
+    depend on p are computed at each exponent."""
     # np.mean's arithmetic, one pairwise sum per row and a division, without
     # its per-call overhead
-    return [MomentRows(p, sums / x.shape[-1])
-            for p, sums in zip(ps, moment_sums(x, center, ps, zero_floor))]
+    return [MomentRows(p, sums / xi.shape[-1])
+            for p, sums in zip(ps, moment_sums(xi, ps, zero_floor))]
 
 
-def moment_sums(x: np.ndarray, center, ps, zero_floor) -> list[np.ndarray]:
+def moment_sums(xi: np.ndarray, ps, zero_floor) -> list[np.ndarray]:
     """moment_rows' row sums before the division by N: one (5, M) array per
-    exponent in ``ps``, rows in MomentRows order."""
-    # two arrays of x's size: the residuals and one work array.  The signed
+    exponent in ``ps``, rows in MomentRows order.  Overwrites ``xi`` with
+    its absolute values."""
+    # two arrays of xi's size: the residuals and one work array.  The signed
     # sums come first, sign(xi) * |xi|**p taken as copysign(|xi|**p, xi),
     # the sign rule of basis_value, while the residuals still hold their
     # signs; the residuals then become their absolute values in place.
     # The ufuncs take their out arrays by position, which costs less per
     # call than the keyword (np.maximum deprecates it)
-    xi = x - center
     work = None  # the first np.abs allocates it
     signed = []
     for p in ps:
@@ -158,9 +160,11 @@ def empirical_moments(sample, center: float, p: float,
     center = real_value(center, "center")
     if not math.isfinite(center):
         raise ValueError(f"center must be finite, got {center}")
-    if winsor_fraction > 0.0:
-        x, center = winsorize_rows(x - center, winsor_fraction), 0.0
-    return moment_rows(x, center, (p,), zero_floor)[0].row(0)
+    with np.errstate(all="ignore"):  # residuals or powers may overflow
+        xi = x - center
+        if winsor_fraction > 0.0:
+            winsorize_rows(xi, winsor_fraction)
+        return moment_rows(xi, (p,), zero_floor)[0].row(0)
 
 
 # ---------------------------------------------------------------------------

@@ -597,9 +597,10 @@ def test_monte_carlo_csv_golden_digests(tmp_path):
 @given(sample_matrices(max_rows=4, min_n=2))
 def test_plugin_curves_match_batch_of_one(x):
     alphas = alpha_grid(0.05, SWEEP_BAND)
-    values, flags = _empirical_curves(x, alphas)
+    # _empirical_curves overwrites the rows it is handed
+    values, flags = _empirical_curves(x.copy(), alphas)
     for r in range(x.shape[0]):
-        one_v, one_f = _empirical_curves(x[r:r + 1], alphas)
+        one_v, one_f = _empirical_curves(x[r:r + 1].copy(), alphas)
         assert _bits(values[r].tolist()) == _bits(one_v[0].tolist())
         assert flags[r].tolist() == one_f[0].tolist()
 
@@ -608,9 +609,9 @@ def test_all_degenerate_row_is_flagged_alone():
     alphas = alpha_grid(0.05, SWEEP_BAND)
     resid = sample(parse_spec("laplace"), 60, 4)
     x = np.stack([resid - resid.mean(), np.zeros(60)])
-    values, flags = _empirical_curves(x, alphas)
+    values, flags = _empirical_curves(x.copy(), alphas)
     assert flags[1].all() and not flags[0].all()
-    one_v, one_f = _empirical_curves(x[:1], alphas)
+    one_v, one_f = _empirical_curves(x[:1].copy(), alphas)
     assert _bits(values[0].tolist()) == _bits(one_v[0].tolist())
     assert flags[0].tolist() == one_f[0].tolist()
 
@@ -702,8 +703,9 @@ def test_plugin_curve_bits():
     assert _summary_bits(calibrate_plugin(x, bootstrap_b=50, seed=4)) == \
         BITS_PLUGIN
     # every resample's curve, through the draw and the winsorization
-    rows = winsorize_rows(_with_resamples(x - float(np.mean(x)), 50, 4),
-                          PLUGIN_WINSOR)
+    rows = winsorize_rows(np.concatenate(
+        [block.copy() for _, block in
+         _with_resamples(x - float(np.mean(x)), 50, 4)]), PLUGIN_WINSOR)
     values, flags = _empirical_curves(rows, GRID)
     digest = hashlib.sha256(values.tobytes() + flags.tobytes()).hexdigest()
     assert digest == BITS_PLUGIN_ROWS

@@ -5,10 +5,11 @@ max(1, BLOCK_ELEMENTS // N) rows (errors.row_blocks), so that its
 temporaries take a fixed budget.  A block of one row and blocks of three
 rows must give what one block gives, bit for bit, with the same errors,
 and a grid call checks its samples once, whatever its blocks and alphas.
-The peak memory of both calibrators is bounded by their bootstrap matrix,
-its index array and a fixed block budget.  Each bootstrap matrix is
-gathered straight from one index draw, which must be rng.choice's draw bit
-for bit.
+Both calibrators draw, gather and evaluate their bootstrap one row block
+at a time from one generator, so their peak memory does not grow with the
+number of resamples.  Consecutive block draws must be the one (B, N) draw
+of rng.choice bit for bit, and so must every resample matrix gathered
+from them.
 """
 
 import dataclasses
@@ -76,9 +77,13 @@ def _rows_bits(rows) -> tuple:
 def _kernels(x: np.ndarray) -> dict:
     """Every blocked kernel's outputs on x, as comparable values."""
     with np.errstate(all="ignore"):
+        # the plug-in's blocks, as calibrate_plugin evaluates them
         resid = x - np.mean(x, axis=1, keepdims=True)
-        values, flags = _empirical_curves(
-            winsorize_rows(resid, PLUGIN_WINSOR), GRID)
+        values = np.empty((len(x), GRID.size))
+        flags = np.empty(values.shape, dtype=bool)
+        for b in errors.row_blocks(*resid.shape):
+            values[b], flags[b] = _empirical_curves(
+                winsorize_rows(resid[b], PLUGIN_WINSOR), GRID)
         # one point of the density per row of a block
         density = _epanechnikov_density(x[1], x[0],
                                         silverman_bandwidth(x[0]))
@@ -140,20 +145,25 @@ def _peak_bytes(fn) -> int:
 
 
 @pytest.mark.parametrize("criterion", ["plugin", "grid"])
-def test_calibrator_memory_is_matrix_index_and_blocks(criterion):
+def test_calibrator_memory_does_not_grow_with_resamples(criterion):
+    # one block of resamples (3 rows of N here) is drawn, gathered and
+    # evaluated at a time in one reused array: the plug-in holds it beside
+    # its index draw or the moment kernel's work array, the grid beside
+    # the full solver's residuals and work array.  Only the (B, k) curve
+    # and estimate arrays grow with B
     n = 20_000
     x = sample(parse_spec("laplace"), n, [2026, 12])
-    if criterion == "plugin":
-        b = 50
-        peak = _peak_bytes(lambda: calibrate_plugin(x, bootstrap_b=b, seed=3))
-        matrix = (b + 1) * n * 8
-    else:
-        b = 100
-        peak = _peak_bytes(lambda: calibrate_grid_mc(x, (0.05, 0.3, 0.95),
-                                                     bootstrap_b=b, seed=3))
-        matrix = b * n * 8
-    index = b * n * 8
-    assert matrix < peak < matrix + index + 16 * BLOCK_BYTES, peak
+    peaks = []
+    for b in (50, 250):
+        if criterion == "plugin":
+            peaks.append(_peak_bytes(
+                lambda: calibrate_plugin(x, bootstrap_b=b, seed=3)))
+        else:
+            peaks.append(_peak_bytes(
+                lambda: calibrate_grid_mc(x, (0.05, 0.3, 0.95),
+                                          bootstrap_b=max(b, 100), seed=3)))
+    assert max(peaks) < 3.5 * BLOCK_BYTES, [p / BLOCK_BYTES for p in peaks]
+    assert abs(peaks[1] - peaks[0]) < BLOCK_BYTES, peaks
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.95])
@@ -226,27 +236,115 @@ def test_draw_is_rng_choice(seed, shape):
     assert drawn.tobytes() == make_rng(seed).choice(src, size=shape).tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 4, 1234])
-def test_plugin_resamples_are_rng_choice(seed):
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+@pytest.mark.parametrize("n", [7, 500, 2**31 + 12345, 3 * 2**30 + 1])
+def test_block_draws_are_one_draw(n, block_rows):
+    # numpy's bounded 32-bit draws keep Philox's spare half word in the
+    # generator between calls, so consecutive (k, N) draws are one (B, N)
+    # draw; 3 * 2**30 + 1 rejects about a quarter of the words
+    shape = (50, 13)
+    whole = make_rng([5, 2401]).integers(0, n, size=shape, dtype=np.int64)
+    rng = make_rng([5, 2401])
+    parts = [rng.integers(0, n, size=(min(block_rows, shape[0] - r),
+                                      shape[1]), dtype=np.int64)
+             for r in range(0, shape[0], block_rows)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def _with_block_rows(cases, block_rows) -> list:
+    """Every case at the default block size, under its own id, then at each
+    of block_rows rows per block."""
+    return [pytest.param(*case, None, id="-".join(map(str, case)))
+            for case in cases] + \
+        [pytest.param(*case, rows,
+                      id="-".join(map(str, case)) + f"-rows{rows}")
+         for rows in block_rows for case in cases]
+
+
+@pytest.mark.parametrize("seed,block_rows",
+                         _with_block_rows([(0,), (4,), (1234,)], (1, 5, 7)))
+def test_plugin_resamples_are_rng_choice(monkeypatch, seed, block_rows):
     resid = sample(parse_spec("laplace"), 300, 9)
-    rows = _with_resamples(resid, 50, seed)
+    if block_rows is not None:  # block edges inside the (51, 300) matrix
+        monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * 300)
+    blocks = [(b, block.copy())
+              for b, block in _with_resamples(resid, 50, seed)]
+    assert [b for b, _ in blocks] == list(errors.row_blocks(51, 300))
+    rows = np.concatenate([block for _, block in blocks])
     boots = make_rng([seed, 2401]).choice(resid, size=(50, 300))
     boots -= (np.add.reduce(boots, axis=-1) / 300)[:, None]
     assert rows[0].tobytes() == resid.tobytes()
     assert rows[1:].tobytes() == boots.tobytes()
 
 
-@pytest.mark.parametrize("seed,n", [(0, 100), (3, 500), (1234, 37)])
-def test_grid_resamples_are_rng_choice(monkeypatch, seed, n):
-    x = sample(parse_spec("laplace"), n, 10)
+def _spy_grid(monkeypatch) -> list:
+    """The matrices calibrate_grid_mc hands to estimate_full_grid, and
+    what it returns for them, as (copy, results) pairs."""
     seen = []
     real = calibration.estimate_full_grid
 
     def spy(boots, alphas):
-        seen.append(boots.copy())
-        return real(boots, alphas)
+        seen.append((boots.copy(), real(boots, alphas)))
+        return seen[-1][1]
 
     monkeypatch.setattr(calibration, "estimate_full_grid", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed,n,block_rows", _with_block_rows(
+    [(0, 100), (3, 500), (1234, 37)], (1, 7)))
+def test_grid_resamples_are_rng_choice(monkeypatch, seed, n, block_rows):
+    x = sample(parse_spec("laplace"), n, 10)
+    if block_rows is not None:  # block edges inside the (100, n) matrix
+        monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * n)
+    seen = _spy_grid(monkeypatch)
     calibrate_grid_mc(x, (0.05,), bootstrap_b=100, seed=seed)
+    assert len(seen) == len(list(errors.row_blocks(100, n)))
     expected = make_rng([seed, 7919]).choice(x, size=(100, n))
-    assert seen[0].tobytes() == expected.tobytes()
+    assert np.concatenate([boots for boots, _ in seen]).tobytes() == \
+        expected.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_grid_raises_the_first_alpha_error_at_its_lowest_row(monkeypatch,
+                                                             block_rows):
+    # with one point at 1e20, the proxy's bracket fails on resamples at
+    # both alphas: first at row 54 at alpha 0.3, and already at row 2 at
+    # alpha 0.7.  The error raised is alpha 0.3's, as from one matrix
+    # estimated whole, though in 3-row blocks alpha 0.7's comes first
+    n = 40
+    x = np.r_[sample(parse_spec("laplace"), n, 5)[:-1], 1e20]
+    grid = (0.3, 0.7)
+    whole = estimate_full_grid(
+        make_rng([0, 7919]).choice(x, size=(100, n)), grid)
+    assert [min(res.errors) for res in whole] == [54, 2]
+    expected = whole[0].errors[54]
+    assert str(expected) != str(whole[1].errors[2])
+    if block_rows is not None:
+        monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * n)
+    seen = _spy_grid(monkeypatch)
+    with pytest.raises(type(expected)) as raised:
+        calibrate_grid_mc(x, grid, bootstrap_b=100, seed=0)
+    assert str(raised.value) == str(expected)
+    # the exception is the object the block holding row 54 produced
+    first = 54 // block_rows if block_rows is not None else 0
+    results = seen[first][1][0]
+    assert raised.value is results.errors[min(results.errors)]
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 7])
+def test_calibrators_do_not_depend_on_the_block_size(monkeypatch,
+                                                     block_rows):
+    n = 300
+    x = sample(parse_spec("gg:1.5"), n, [2026, 3])
+
+    def results():
+        plugin = calibrate_plugin(x, bootstrap_b=50, seed=4)
+        grid = calibrate_grid_mc(x, GRID, bootstrap_b=100, seed=4)
+        return [(r.alpha_star, r.sensitivity_interval, r.ambiguous,
+                 r.curve.g2.tobytes(), r.curve.degenerate.tobytes())
+                for r in (plugin, grid)]
+
+    whole = results()
+    monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * n)
+    assert results() == whole

@@ -156,6 +156,15 @@ class TestPluginCalibration:
                 calibrate_grid_mc(x, (0.05, 0.95), bootstrap_b=100,
                                   seed=seed)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_moments_raise_no_warning(self):
+        # the plug-in ratio's higher moments overflow at this scale and every
+        # alpha is flagged (the ratio is not yet scale-equivariant); numpy's
+        # overflow warnings stay inside the curve kernel
+        x = sample(parse_spec("laplace"), 200, 3)
+        with pytest.raises(AllGridDegenerate):
+            calibrate_plugin(1e200 * x, bootstrap_b=20)
+
     def test_zero_bootstrap_reads_the_sample_alone(self):
         x = sample(parse_spec("laplace"), 60, 1)
         res = calibrate_plugin(x, bootstrap_b=0)
@@ -237,7 +246,7 @@ class TestGridMcCalibration:
                              ids=["float", "None", "str", "bytes", "empty",
                                   "out-of-range"])
     def test_grid_is_checked_before_the_draw(self, alphas, monkeypatch):
-        # the (B, N) bootstrap matrix is drawn only for a usable grid
+        # the bootstrap is drawn only for a usable grid
         draws = []
         monkeypatch.setattr("fracmom.calibration._draw",
                             lambda *args: draws.append(args))
@@ -302,6 +311,39 @@ class TestEntropyDiagnostic:
         base = entropy_diagnostic(x).k_hat
         for c in (0.1, 10.0):
             assert entropy_diagnostic(c * x).k_hat == pytest.approx(base, abs=0.01)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_scales(self):
+        # the sd, IQR and kurtosis are taken at unit scale, so neither
+        # overflow (k_hat 0 at 1e200) nor underflow (a zero sd at 1e-200)
+        # reaches the coordinates
+        x = sample(parse_spec("laplace"), 200, 3)
+        base = entropy_diagnostic(x)
+        for c in (1e-300, 1e-200, 1e-100, 1e-12, 1e12, 1e100, 1e150, 1e200,
+                  1e300):
+            d = entropy_diagnostic(c * x)
+            assert d.k_hat == pytest.approx(base.k_hat, rel=1e-12), c
+            assert d.kappa_hat == pytest.approx(base.kappa_hat, rel=1e-12), c
+            assert d.bandwidth == pytest.approx(c * base.bandwidth,
+                                                rel=1e-12), c
+
+    @pytest.mark.parametrize("family,seed", [("laplace", 3), ("gg:1.5", 6),
+                                             ("uniform", 1), ("beta:2:5", 9),
+                                             ("cauchy", 4)])
+    def test_unit_scale_is_the_unscaled_arithmetic(self, family, seed):
+        # a power of two scales exactly: at ordinary scales the results are
+        # those of the sd, IQR and kurtosis taken on the residuals as given
+        x = sample(parse_spec(family), 300, seed)
+        sd = float(np.std(x, ddof=1))
+        q75, q25 = np.percentile(x, [75.0, 25.0])
+        iqr = float(q75 - q25)
+        h = 0.9 * (min(sd, iqr / 1.34) if iqr > 0.0 else sd) * 300 ** (-0.2)
+        d = entropy_diagnostic(x)
+        centered = x - np.mean(x)
+        g4 = float(np.mean(centered**4) / np.mean(centered**2) ** 2 - 3.0)
+        assert d.bandwidth.hex() == h.hex()
+        assert d.k_hat.hex() == (math.exp(d.h_hat) / (2.0 * sd)).hex()
+        assert d.kappa_hat.hex() == (1.0 / math.sqrt(g4 + 3.0)).hex()
 
     def test_contrexcess_estimate(self):
         x = sample(parse_spec("uniform"), 5000, [42, 3])

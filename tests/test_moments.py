@@ -153,7 +153,7 @@ class TestMomentRows:
     def test_exponent_grid_equals_one_exponent_at_a_time(self, case):
         x, center, floor, ps = case
         with np.errstate(all="ignore"):
-            got = moment_rows(x, center, ps, floor)
+            got = moment_rows(x - center, ps, floor)
             expected = [reference_moment_rows(x, center, p, floor)
                         for p in ps]
         assert [m.p for m in got] == list(ps)
@@ -183,7 +183,7 @@ class TestMomentRows:
         x[7, ::2] = math.inf
         ps = (0.5, 0.9, 1.0, 1.5, 2.0)
         with np.errstate(all="ignore"):
-            got = moment_rows(x, center, ps, 1e-12)
+            got = moment_rows(x - center, ps, 1e-12)
             expected = [reference_moment_rows(x, center, p, 1e-12)
                         for p in ps]
         for m, values in zip(got, expected):
@@ -206,13 +206,16 @@ class TestMomentRows:
         x[4, ::2] = -math.inf
         ps = np.linspace(0.5, 2.0, count).tolist() if count > 1 else [0.75]
         with np.errstate(all="ignore"):
-            got = moments.moment_sums(x, 0.0, ps, 1e-12)
+            xi = x.copy()
+            got = moments.moment_sums(xi, ps, 1e-12)
             expected = sign_array_moment_sums(x, 0.0, ps, 1e-12)
         assert [s.tobytes() for s in got] == [s.tobytes() for s in expected]
+        # the kernel leaves the absolute residuals in the rows it was given
+        assert xi.tobytes() == np.abs(x).tobytes()
 
     def test_floor_applies_below_one_only(self):
         x = np.array([[0.0, 1e-20, 2.0]])
-        low, high = moment_rows(x, 0.0, (0.5, 1.5), 1e-12)
+        low, high = moment_rows(x, (0.5, 1.5), 1e-12)
         assert low.values[1, 0] == pytest.approx(
             (2 * 1e-12 ** -0.5 + 2.0 ** -0.5) / 3, rel=1e-15)
         assert high.values[1, 0] == pytest.approx(
@@ -259,7 +262,7 @@ class TestEmpiricalMoments:
                                                          p):
         expected = reference_winsorized_rows(x, p, fraction)
         capped = winsorize_rows(x.copy(), fraction)
-        got = moment_rows(capped, 0.0, (p,))[0].values
+        got = moment_rows(capped, (p,))[0].values
         assert [v.hex() for v in got.ravel().tolist()] == \
             [v.hex() for v in expected.ravel().tolist()]
         for r in range(x.shape[0]):
@@ -267,6 +270,13 @@ class TestEmpiricalMoments:
             assert [v.hex() for v in (one.c2, one.nu_pm1, one.nu_pp1,
                                       one.nu_2p, one.sigma_p)] == \
                 [v.hex() for v in expected[:, r].tolist()]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("winsor", [0.0, 0.1])
+    def test_overflowing_moments_raise_no_warning(self, winsor):
+        x = sample(parse_spec("laplace"), 200, 3)
+        m = empirical_moments(1e200 * x, 0.0, 1.5, winsor_fraction=winsor)
+        assert not m.is_finite()
 
     def test_winsorize_rows_keeps_signs_and_works_in_place(self):
         x = np.array([[-4.0, -0.0, 1.0, 2.0, 3.0]])
