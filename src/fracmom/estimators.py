@@ -212,7 +212,11 @@ def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     eps = _tie_smoothing(x, center, scale)
     floor = 1e-12 * scale if eps is None else np.maximum(1e-12 * scale, eps)
     fl = floor[:, None]
-    sums = moment_sums(x - center, ps, fl)
+    # one residual array for every pass at every alpha: a block-sized
+    # array freed per pass lets malloc hand the heap top back to the
+    # system, and a fresh process then faults its pages in again
+    xi = x - center
+    sums = moment_sums(xi, ps, fl)
     # np.std(x, ddof=1) by the same arithmetic, c2's row sum, and 0 where
     # N is 1: a finite row's c2 is 0 there
     sd = np.sqrt(sums[0][0] / max(n - 1, 1))
@@ -224,17 +228,18 @@ def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     going = finite & (floor > 0.0)
     start = (going, finite & ~going, mean, fl, -clip, clip)
     for (a, res), p, s in zip(full, ps, sums):
-        _full_passes(x, rows, a, start, MomentRows(p, s / n), res)
+        _full_passes(x, rows, a, start, MomentRows(p, s / n), res, xi)
 
 
 def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
-                 m: MomentRows, res: EstimateRows):
+                 m: MomentRows, res: EstimateRows, xi: np.ndarray):
     """The outer passes of _full_block at one alpha outside the band, on
     the block's rows x, from the start (going, proxied, mean, floor, lo,
     hi) and the first pass's moment rows m: fills the rows of res that rows
     indexes.  going marks the rows that take the passes, proxied the rows
     that go to the proxy without one, floor (a column), lo and hi hold every
-    row's zero floor and step bounds.
+    row's zero floor and step bounds; xi, an array of x's shape, takes each
+    pass's residuals.
 
     Every row takes every pass, and masks say which results count: going
     marks the rows still iterating, and a row's results are written at the
@@ -253,7 +258,8 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
     mu = xbar
     for it in range(1, MAX_OUTER_ITERS + 1):
         if it > 1:  # moment_rows' arithmetic, without its list
-            m = MomentRows(p, moment_sums(x - mu[:, None], (p,), fl)[0] / n)
+            np.subtract(x, mu[:, None], xi)
+            m = MomentRows(p, moment_sums(xi, (p,), fl)[0] / n)
         sys = system_rows(m)
         nu_pm1, sigma_p = m.values[1], m.values[4]
         # the weighted score z and minus its slope in mu
