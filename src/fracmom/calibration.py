@@ -81,44 +81,23 @@ def _empirical_curves(rows: np.ndarray, alphas: np.ndarray,
     return values, flags
 
 
-def _draw(src: np.ndarray, out: np.ndarray, rng) -> np.ndarray:
-    """Fill out with resamples of src and return it: rng.choice(src,
-    size=out.shape) bit for bit, with the draws gathered straight into out
-    (take buffers out under mode "raise"; the indices are in range).
-    Consecutive calls on one generator fill what one call on their outputs
-    stacked fills: for N < 2**32 numpy draws the indices from Philox's
-    32-bit words, and the generator keeps a spare half word from one call
-    for the next."""
-    return np.take(src, rng.integers(0, src.size, size=out.shape,
-                                     dtype=np.int64), out=out, mode="clip")
-
-
-def _blocks(rows: int, n: int):
-    """(slice, block) for each row block (errors.row_blocks) of an
-    (rows, n) matrix, every block a view of one array made for the first
-    block, the largest: a caller is done with a block when it takes the
-    next."""
+def _resamples(src: np.ndarray, count: int, rng):
+    """(slice, block) for each row block (errors.row_blocks) of
+    rng.choice(src, size=(count, N)), bit for bit.  Every block is a view
+    of one array made for the first block, the largest: a caller is done
+    with a block when it takes the next.  The draws are gathered straight
+    into it (take buffers out under mode "raise"; the indices are in range).
+    The blocks' draws are one draw: for N < 2**32 numpy draws the indices
+    from Philox's 32-bit words, and the generator keeps a spare half word
+    from one call for the next."""
     buf = None
-    for b in row_blocks(rows, n):
+    for b in row_blocks(count, src.size):
         if buf is None:
-            buf = np.empty((b.stop, n))
-        yield b, buf[:b.stop - b.start]
-
-
-def _with_resamples(resid: np.ndarray, bootstrap_b: int, seed: int):
-    """(slice, block) for each row block of the (bootstrap_b + 1, N)
-    matrix whose row 0 is the residuals and whose other rows are resamples
-    of them, each re-centred on its own mean, drawn block by block; each
-    block is overwritten by the next (_blocks)."""
-    rng = make_rng([seed, 2401])
-    for b, block in _blocks(bootstrap_b + 1, resid.size):
-        boots = block
-        if b.start == 0:
-            block[0] = resid
-            boots = block[1:]
-        _draw(resid, boots, rng)
-        boots -= mean_rows(boots)[:, None]
-        yield b, block
+            buf = np.empty((b.stop, src.size))
+        block = buf[:b.stop - b.start]
+        yield b, np.take(src, rng.integers(0, src.size, size=block.shape,
+                                           dtype=np.int64),
+                         out=block, mode="clip")
 
 
 def calibrate_plugin(sample, grid_step: float = 0.05,
@@ -130,9 +109,10 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     Bootstrap resampling of the residuals yields a sensitivity interval for
     alpha*; a spread above 0.1 marks the choice ambiguous and, when the
     sample is large enough, attaches the entropy diagnostic.  The residuals
-    and their resamples are drawn, winsorized and evaluated at every alpha
-    one row block at a time, so memory does not grow with bootstrap_b; a
-    resample with no usable ratio is skipped.
+    are winsorized and evaluated at every alpha on their own.  Their
+    resamples are drawn (_resamples), re-centred on their own means,
+    winsorized and evaluated one row block at a time, so memory does not
+    grow with bootstrap_b; a resample with no usable ratio is skipped.
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 0:
         raise ValueError("bootstrap_b must be >= 0")
@@ -145,10 +125,14 @@ def calibrate_plugin(sample, grid_step: float = 0.05,
     alphas = alpha_grid(grid_step, band)
     values = np.empty((bootstrap_b + 1, alphas.size))
     flags = np.empty(values.shape, dtype=bool)
-    for b, block in _with_resamples(resid, bootstrap_b, seed):
-        values[b], flags[b] = _empirical_curves(
+    # row 0: the residuals; row 1 + i: resample i, re-centred on its mean
+    values[:1], flags[:1] = _empirical_curves(
+        winsorize_rows(resid[None, :].copy(), PLUGIN_WINSOR), alphas)
+    for b, block in _resamples(resid, bootstrap_b, make_rng([seed, 2401])):
+        block -= mean_rows(block)[:, None]
+        values[1:][b], flags[1:][b] = _empirical_curves(
             winsorize_rows(block, PLUGIN_WINSOR), alphas)
-    del block  # else an error's traceback holds the block array alive
+    block = None  # else an error's traceback holds the block array alive
     usable = ~flags
     if not usable[0].any():
         raise AllGridDegenerate("no usable ratio value on the alpha grid")
@@ -175,10 +159,11 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     """Pick alpha by bootstrap variance of the full estimator on the sample.
 
     The sensitivity interval collects every grid alpha whose bootstrap
-    variance is within 5% of the minimum.  The resamples are drawn and
-    estimated over the whole grid one row block at a time, so memory does
-    not grow with bootstrap_b.  A failed row raises its error: that of the
-    first alpha in grid order with one, at its lowest row.
+    variance is within 5% of the minimum.  The resamples are drawn as the
+    plug-in draws its own (_resamples) and estimated over the whole grid one
+    row block at a time, so memory does not grow with bootstrap_b.  A failed
+    row raises its error: that of the first alpha in grid order with one, at
+    its lowest row.
     """
     if integer_value(bootstrap_b, "bootstrap_b") < 100:
         raise ValueError("bootstrap_b must be >= 100")
@@ -188,11 +173,10 @@ def calibrate_grid_mc(sample, alphas, bootstrap_b: int = 200,
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
     x = sample_row(sample)[0]
-    rng = make_rng([seed, 7919])
     theta = np.empty((alphas.size, bootstrap_b))
     failed = {}  # alpha index: the error of its lowest failed row
-    for b, block in _blocks(bootstrap_b, x.size):
-        grid = estimate_full_grid(_draw(x, block, rng), alphas)
+    for b, block in _resamples(x, bootstrap_b, make_rng([seed, 7919])):
+        grid = estimate_full_grid(block, alphas)
         for idx, est in enumerate(grid):
             if est.errors and idx not in failed:
                 failed[idx] = est.errors[min(est.errors)]

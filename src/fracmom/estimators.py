@@ -302,9 +302,11 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
 
 def estimate_proxy(sample, alpha) -> EstimateResult:
     """Scalar signed-power root: solve sum sign(x-mu)|x-mu|^p = 0 by
-    bracketing.  Valid for any finite sample, including infinite-variance
-    noise, since it needs no moment matrix.  The batch of one of
-    estimate_proxy_grid at one alpha."""
+    bracketing.  Needs no moment matrix, so infinite-variance noise is no
+    obstacle; but the bracket about the median doubles at most
+    MAX_BRACKET_DOUBLINGS times, and a sample whose root lies farther out
+    raises BracketFailure (estimate_proxy([-1, -1, -1, 1e20], 0.05) does).
+    The batch of one of estimate_proxy_grid at one alpha."""
     x = float_array(sample).reshape(1, -1)
     return estimate_proxy_grid(x, (alpha,))[0].result(0)
 

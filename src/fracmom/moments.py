@@ -188,7 +188,12 @@ def quadrature_moment(density, q: float, support: tuple[float, float],
 
     ``center=None`` locates c at the density's own mean.  ``signed=True``
     weights the two halves by sign(x - c).  The split keeps the q < 0 cusp at
-    an interval endpoint where the integrator handles it.
+    an interval endpoint where the integrator handles it.  An order q <= -1
+    raises NonFiniteMoment where the integral diverges at the center: where
+    the density is positive there, as abs_moment does, and where a half
+    comes out negative.  Both halves integrate a function >= 0, and for a
+    divergent integral QUADPACK's extrapolation returns the analytic
+    continuation, a finite negative number with a small error estimate.
     """
     lo, hi = support
     if check_density:
@@ -200,10 +205,12 @@ def quadrature_moment(density, q: float, support: tuple[float, float],
         c = _quad(lambda x: x * density(x), lo, hi)
     else:
         c = center
+    if q <= -1.0 and density(c) > 0.0:
+        raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
     right = _quad(lambda x: abs(x - c) ** q * density(x), c, hi)
     left = _quad(lambda x: abs(x - c) ** q * density(x), lo, c)
     total = right - left if signed else right + left
-    if not np.isfinite(total):
+    if not np.isfinite(total) or (q <= -1.0 and min(right, left) < 0.0):
         raise NonFiniteMoment(f"order-{q} moment is not finite")
     return total
 

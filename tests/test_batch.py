@@ -49,10 +49,11 @@ from fracmom import (
     write_baseline_csv,
     write_mc_csv,
 )
-from fracmom.baselines import baseline_rows, median_rows
+from fracmom.baselines import baseline_rows, mean_rows, median_rows
 from fracmom.basis import SWEEP_BAND
 from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
-    _with_resamples
+    _resamples
+from fracmom.distributions import make_rng
 from fracmom import errors, estimators
 from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
     EstimateResult, _brent, estimate_full_grid, estimate_proxy_grid
@@ -702,10 +703,14 @@ def test_plugin_curve_bits():
     x = _bits_sample()
     assert _summary_bits(calibrate_plugin(x, bootstrap_b=50, seed=4)) == \
         BITS_PLUGIN
-    # every resample's curve, through the draw and the winsorization
-    rows = winsorize_rows(np.concatenate(
-        [block.copy() for _, block in
-         _with_resamples(x - float(np.mean(x)), 50, 4)]), PLUGIN_WINSOR)
+    # the residuals' curve and every resample's, through the draw, the
+    # re-centring and the winsorization
+    resid = x - float(np.mean(x))
+    boots = np.concatenate([block.copy() for _, block in
+                            _resamples(resid, 50, make_rng([4, 2401]))])
+    boots -= mean_rows(boots)[:, None]
+    rows = winsorize_rows(np.concatenate([resid[None, :], boots]),
+                          PLUGIN_WINSOR)
     values, flags = _empirical_curves(rows, GRID)
     digest = hashlib.sha256(values.tobytes() + flags.tobytes()).hexdigest()
     assert digest == BITS_PLUGIN_ROWS

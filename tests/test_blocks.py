@@ -5,11 +5,11 @@ max(1, BLOCK_ELEMENTS // N) rows (errors.row_blocks), so that its
 temporaries take a fixed budget.  A block of one row and blocks of three
 rows must give what one block gives, bit for bit, with the same errors,
 and a grid call checks its samples once, whatever its blocks and alphas.
-Both calibrators draw, gather and evaluate their bootstrap one row block
-at a time from one generator, so their peak memory does not grow with the
-number of resamples.  Consecutive block draws must be the one (B, N) draw
-of rng.choice bit for bit, and so must every resample matrix gathered
-from them.
+Both calibrators draw their bootstrap through one generator of row
+blocks (calibration._resamples) and evaluate it block by block, so their
+peak memory does not grow with the number of resamples.  Consecutive
+block draws must be the one (B, N) draw of rng.choice bit for bit, and so
+must every resample matrix gathered from them.
 """
 
 import dataclasses
@@ -24,9 +24,8 @@ from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_full, \
 from fracmom import calibration, errors, estimators
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
-from fracmom.calibration import PLUGIN_WINSOR, _draw, \
-    _empirical_curves, _epanechnikov_density, _with_resamples, \
-    silverman_bandwidth
+from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
+    _epanechnikov_density, _resamples, silverman_bandwidth
 from fracmom.distributions import make_rng
 from fracmom.efficiency import alpha_grid
 from fracmom.estimators import EstimateResult, estimate_full_grid, \
@@ -228,12 +227,25 @@ def test_finite_mask_by_blocks_is_the_one_call_mask(bad):
 SHAPES = [(1, 1), (7, 1), (3, 5), (50, 300), (201, 500), (1, 100_000)]
 
 
+def _drawn(src, count, rng) -> list:
+    """What _resamples yields, as (slice, copy) pairs."""
+    return [(b, block.copy()) for b, block in _resamples(src, count, rng)]
+
+
 @pytest.mark.parametrize("seed", [0, [5, 2401], [7, 7919], 123456789])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_draw_is_rng_choice(seed, shape):
+def test_draw_is_rng_choice(monkeypatch, seed, shape):
+    # at the default block size, then at 1, 3 and 7 rows per block
     src = sample(parse_spec("laplace"), shape[1], 11)
-    drawn = _draw(src, np.empty(shape), make_rng(seed))
-    assert drawn.tobytes() == make_rng(seed).choice(src, size=shape).tobytes()
+    expected = make_rng(seed).choice(src, size=shape)
+    for block_rows in (None, 1, 3, 7):
+        if block_rows is not None:
+            monkeypatch.setattr(errors, "BLOCK_ELEMENTS",
+                                block_rows * shape[1])
+        blocks = _drawn(src, shape[0], make_rng(seed))
+        assert [b for b, _ in blocks] == list(errors.row_blocks(*shape))
+        assert np.concatenate([block for _, block in blocks]).tobytes() == \
+            expected.tobytes()
 
 
 @pytest.mark.parametrize("block_rows", [1, 3, 7])
@@ -264,17 +276,31 @@ def _with_block_rows(cases, block_rows) -> list:
 @pytest.mark.parametrize("seed,block_rows",
                          _with_block_rows([(0,), (4,), (1234,)], (1, 5, 7)))
 def test_plugin_resamples_are_rng_choice(monkeypatch, seed, block_rows):
-    resid = sample(parse_spec("laplace"), 300, 9)
-    if block_rows is not None:  # block edges inside the (51, 300) matrix
+    x = sample(parse_spec("laplace"), 300, 9)
+    resid = x - np.mean(x)
+    if block_rows is not None:  # block edges inside the (50, 300) matrix
         monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * 300)
-    blocks = [(b, block.copy())
-              for b, block in _with_resamples(resid, 50, seed)]
-    assert [b for b, _ in blocks] == list(errors.row_blocks(51, 300))
-    rows = np.concatenate([block for _, block in blocks])
+    blocks = _drawn(resid, 50, make_rng([seed, 2401]))
+    assert [b for b, _ in blocks] == list(errors.row_blocks(50, 300))
     boots = make_rng([seed, 2401]).choice(resid, size=(50, 300))
+    assert np.concatenate([block for _, block in blocks]).tobytes() == \
+        boots.tobytes()
+    # the plug-in winsorizes the residuals on their own, then each block
+    # of resamples re-centred on their own means
+    seen = []
+    real = calibration.winsorize_rows
+
+    def spy(rows, fraction):
+        seen.append(rows.copy())
+        return real(rows, fraction)
+
+    monkeypatch.setattr(calibration, "winsorize_rows", spy)
+    calibrate_plugin(x, bootstrap_b=50, seed=seed)
+    assert [len(rows) for rows in seen] == \
+        [1] + [b.stop - b.start for b, _ in blocks]
     boots -= (np.add.reduce(boots, axis=-1) / 300)[:, None]
-    assert rows[0].tobytes() == resid.tobytes()
-    assert rows[1:].tobytes() == boots.tobytes()
+    assert seen[0][0].tobytes() == resid.tobytes()
+    assert np.concatenate(seen[1:]).tobytes() == boots.tobytes()
 
 
 def _spy_grid(monkeypatch) -> list:

@@ -248,7 +248,7 @@ class TestGridMcCalibration:
     def test_grid_is_checked_before_the_draw(self, alphas, monkeypatch):
         # the bootstrap is drawn only for a usable grid
         draws = []
-        monkeypatch.setattr("fracmom.calibration._draw",
+        monkeypatch.setattr("fracmom.calibration._resamples",
                             lambda *args: draws.append(args))
         x = sample(parse_spec("laplace"), 60, 1)
         with pytest.raises(ValueError):

@@ -89,6 +89,10 @@ class TestEstimateCommand:
     def test_unknown_command_is_usage_error(self):
         assert cli_main(["frobnicate"]) == 1
 
+    def test_help_exits_zero(self, capsys):
+        assert cli_main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
 
 class TestMcCommand:
     def test_flag_design(self, tmp_path):

@@ -260,6 +260,11 @@ class TestShapeSummaries:
         # at beta = 0.5 is 25.2, so the excess form gives 22.2
         assert gg_kurtosis(0.5) == pytest.approx(22.2, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    def test_gg_kurtosis_needs_a_positive_shape(self, beta):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            gg_kurtosis(beta)
+
     def test_gaussian_row(self):
         s = shape_summary(parse_spec("gaussian"))
         assert s.gamma3 == 0.0 and s.gamma4 == 0.0

@@ -26,7 +26,7 @@ from fracmom import (
     trimmed_mean,
     winsorized_mean,
 )
-from fracmom.baselines import median_rows
+from fracmom.baselines import baseline_rows, median_rows
 from fracmom.estimators import TOL, estimate_full_grid, estimate_proxy_grid
 
 ALPHAS = (0.05, 0.30, 0.70, 0.95)
@@ -113,6 +113,12 @@ def test_median_of_finite_values_near_the_float_limit():
     lambda x: empirical_moments(x, 0.0, None),
     lambda x: empirical_moments(x, 0.0, 1.5, winsor_fraction=None),
     lambda x: empirical_moments(x, 0.0, 1.5, zero_floor=None),
+    lambda x: estimate_full_grid(x, (0.3,)),
+    lambda x: estimate_full_grid(x[None, None, :], (0.3,)),
+    lambda x: estimate_proxy_grid(x, (0.3,)),
+    lambda x: estimate_proxy_grid(x[None, None, :], (0.3,)),
+    lambda x: baseline_rows(x),
+    lambda x: baseline_rows(x[None, None, :]),
 ], ids=["full-alpha-None", "full-alpha-str", "full-alpha-numeric-str",
         "full-alpha-numeric-bytes", "full-grid-alphas-str",
         "full-grid-alphas-bytes", "proxy-alpha-list",
@@ -127,7 +133,9 @@ def test_median_of_finite_values_near_the_float_limit():
         "huber-tuning-numeric-str", "trimmed-fraction-None",
         "trimmed-fraction-numeric-str", "winsorized-fraction-None",
         "moments-center-None", "moments-p-None", "moments-winsor-None",
-        "moments-floor-None"])
+        "moments-floor-None", "full-grid-1d", "full-grid-3d",
+        "proxy-grid-1d", "proxy-grid-3d", "baseline-rows-1d",
+        "baseline-rows-3d"])
 def test_bad_argument_types_raise_value_error(call):
     # a raw TypeError would escape the documented refusals
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from fracmom import (
     FractionalMomentSet,
     NonFiniteInput,
     NonFiniteMoment,
+    QuadratureError,
     abs_moment,
     calibrate_oracle,
     empirical_moments,
@@ -350,6 +351,44 @@ class TestQuadratureOracle:
                               signed=True, check_density=False)
         assert v == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q", [-1.0, -1.2, -1.5, -2.0])
+    @pytest.mark.parametrize("family", ["laplace", "beta:2:5"])
+    def test_orders_at_or_below_minus_one_diverge(self, family, q, signed):
+        # both densities are positive at the center 0.  At -1.2 and -1.5
+        # QUADPACK's extrapolation returns the analytic continuation, a
+        # finite negative number, with a small error estimate
+        spec = parse_spec(family)
+        with pytest.raises(NonFiniteMoment, match="diverges at the center"):
+            quadrature_moment(spec.density, q, spec.support, center=0.0,
+                              signed=signed, check_density=False)
+
+    def test_orders_below_minus_one_where_the_density_vanishes(self):
+        # about the edge 0 of its support, a beta(a, 5) density is
+        # c x^(a - 1) (1 - x)^4, and E|X|^q = B(q + a, 5) / B(a, 5) is
+        # finite for q > -a.  For a = 1.2 and q <= -1.2 it diverges, and
+        # QUADPACK's extrapolation gives a negative half (-95.4 at -1.3)
+        for a, q in ((2.0, -1.0), (2.0, -1.5), (1.2, -1.0)):
+            spec = parse_spec(f"beta:{a}:5", standardized=False)
+            v = quadrature_moment(spec.density, q, spec.support, center=0.0,
+                                  check_density=False)
+            assert v == pytest.approx(
+                special.beta(q + a, 5.0) / special.beta(a, 5.0), rel=1e-10)
+        spec = parse_spec("beta:1.2:5", standardized=False)
+        for q in (-1.3, -1.5, -1.9):
+            for signed in (False, True):
+                with pytest.raises(NonFiniteMoment):
+                    quadrature_moment(spec.density, q, spec.support,
+                                      center=0.0, signed=signed,
+                                      check_density=False)
+
+    def test_divergent_integral_is_a_quadrature_error(self):
+        # cauchy's first absolute moment diverges in its tails
+        spec = parse_spec("cauchy")
+        with pytest.raises(QuadratureError):
+            quadrature_moment(spec.density, 1.0, spec.support, center=0.0,
+                              check_density=False)
+
 
 class TestTheoreticalMoments:
     def test_gamma_closed_forms_match_quadrature(self):
@@ -378,6 +417,11 @@ class TestTheoreticalMoments:
             theoretical_moments(cauchy, 0.5)  # c2 always required
         # sub-unit orders stay finite: E|X|^q = 1/cos(pi q/2)
         assert abs_moment(cauchy, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("family,q", [("cauchy", -1.0), ("laplace", -1.5)])
+    def test_orders_at_or_below_minus_one_diverge(self, family, q):
+        with pytest.raises(NonFiniteMoment, match="diverges at the center"):
+            abs_moment(parse_spec(family), q)
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_exponent_refused(self, p):
