@@ -405,8 +405,8 @@ def gg_kurtosis(beta: float) -> float:
     Gamma(5/b)*Gamma(1/b)/Gamma(3/b)^2 - 3; equals 3 at b=1 (two-sided
     exponential) and 0 at b=2 (Gaussian).
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    if not 0.0 < beta < math.inf:  # NaN fails too
+        raise ValueError("beta must be > 0 and finite")
     g1 = special.gamma(1.0 / beta)
     g3 = special.gamma(3.0 / beta)
     g5 = special.gamma(5.0 / beta)

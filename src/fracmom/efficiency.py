@@ -168,7 +168,7 @@ def g2_rows(m: MomentRows) -> tuple[np.ndarray, np.ndarray]:
 
 def g2_classical(gamma3: float, gamma4: float) -> float:
     """Classical degree-2 reference ratio 1 - gamma3^2 / (2 + gamma4)."""
-    if gamma4 <= -2.0:
+    if not gamma4 > -2.0:  # NaN fails too
         raise ValueError("gamma4 must exceed -2")
     return 1.0 - gamma3**2 / (2.0 + gamma4)
 

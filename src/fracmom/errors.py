@@ -44,7 +44,7 @@ class AllGridDegenerate(FracmomError):
 
 
 class BracketFailure(FracmomError):
-    """Root bracketing failed to find a sign change after max expansions."""
+    """The proxy's Brent search spent its iteration cap without a root."""
 
 
 class QuadratureError(FracmomError):

@@ -31,7 +31,6 @@ MAX_OUTER_ITERS = 3  # outer passes of the full solver
 TOL = 1e-8  # relative step size that counts as converged
 STEP_CLIP_SD = 3.0  # largest outer step, in sample standard deviations
 BRACKET_EXPANSION = 10.0  # initial proxy half-bracket, in robust scales
-MAX_BRACKET_DOUBLINGS = 60  # proxy bracket widenings before BracketFailure
 # the proxy's Brent search: scipy brentq's arithmetic with xtol 1e-12 and its
 # default rtol (4 machine epsilons) and iteration cap
 BRENT_XTOL = 1e-12
@@ -303,10 +302,9 @@ def _full_passes(x: np.ndarray, rows: np.ndarray, a: float, start,
 def estimate_proxy(sample, alpha) -> EstimateResult:
     """Scalar signed-power root: solve sum sign(x-mu)|x-mu|^p = 0 by
     bracketing.  Needs no moment matrix, so infinite-variance noise is no
-    obstacle; but the bracket about the median doubles at most
-    MAX_BRACKET_DOUBLINGS times, and a sample whose root lies farther out
-    raises BracketFailure (estimate_proxy([-1, -1, -1, 1e20], 0.05) does).
-    The batch of one of estimate_proxy_grid at one alpha."""
+    obstacle, and the root of any finite sample lies in its data range,
+    which bounds the bracket (_search).  The batch of one of
+    estimate_proxy_grid at one alpha."""
     x = float_array(sample).reshape(1, -1)
     return estimate_proxy_grid(x, (alpha,))[0].result(0)
 
@@ -369,26 +367,24 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     work = np.empty((2,) + x.shape)
     rows = rows.tolist()
     for a, p, res in zip(grid, ps, out):
-        _proxy_root(x, rows, starts, a, p, eps if p < 1.0 else None, work,
-                    res)
+        _proxy_root(x, rows, starts, a, eps if p < 1.0 else None, work, res)
 
 
 def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
-                p: float, eps: np.ndarray | None, work: np.ndarray,
-                res: EstimateRows):
-    """The root searches of _proxy_block at one alpha, of exponent p, on
-    the block's live rows x, which are the rows of the matrix that rows
-    lists, from their (median, starting half-width) pairs starts: fills
-    their estimates, iteration counts and errors in res.
+                eps: np.ndarray | None, work: np.ndarray, res: EstimateRows):
+    """The root searches of _proxy_block at one alpha on the block's live
+    rows x, which are the rows of the matrix that rows lists, from their
+    (median, starting half-width) pairs starts: fills their estimates,
+    iteration counts and errors in res.
 
-    Every row runs its own search (_search) in lock-step with the others:
-    every round sends each search the score of the point it yielded last
-    (None starts it) and scores the next points of those still going with
-    one basis_value call, whether they are still bracketing or already in
-    Brent steps.  work's two slabs take the residuals and basis values.
+    Every row runs its own search (_search) on its row, in lock-step with
+    the others: every round sends each search the score of the point it
+    yielded last (None starts it) and scores the next points of those still
+    going with one basis_value call.  work's two slabs take the residuals
+    and basis values.
     """
     theta, iters, errors = res.theta_hat, res.outer_iters, res.errors
-    sends = [_search(m, h, p).send for m, h in starts]
+    sends = [_search(row, m, h).send for row, (m, h) in zip(x, starts)]
     scores = [None] * len(sends)
     # each row's next point, a column for the scores' subtraction, written
     # in place: cheaper than building it from a list every round
@@ -432,22 +428,23 @@ def _proxy_root(x: np.ndarray, rows: list, starts: list, a: float,
         scores = np.add.reduce(v, -1).tolist()
 
 
-def _search(med: float, half: float, p: float):
-    """One row's proxy root search from its median med and starting
-    half-width half, as a generator that yields each point and is sent its
-    score, like _brent.  The score is strictly decreasing in mu, so a sign
-    change must appear once the bracket [med - half, med + half] is wide
-    enough: half doubles until it does, then _brent finds the root inside.
-    MAX_BRACKET_DOUBLINGS brackets are checked before BracketFailure."""
+def _search(row: np.ndarray, med: float, half: float):
+    """The proxy root search on one row of data from its median med and
+    starting half-width half: a generator that yields each point and is
+    sent its score, like _brent.  The score decreases in mu from >= 0 at
+    row.min() to <= 0 at row.max(), so where [med - half, med + half] misses
+    the root, Brent runs on the data range beyond the end that missed, at
+    the cost of one more score, at that data end."""
     lo, hi = med - half, med + half
-    for _ in range(MAX_BRACKET_DOUBLINGS):
+    s_lo = yield lo
+    s_hi = yield hi
+    if s_lo < 0.0:
+        lo, hi, s_hi = float(row.min()), lo, s_lo
         s_lo = yield lo
+    elif s_hi > 0.0:
+        lo, hi, s_lo = hi, float(row.max()), s_hi
         s_hi = yield hi
-        if s_lo >= 0.0 >= s_hi:
-            return (yield from _brent(lo, hi, s_lo, s_hi))
-        half *= 2.0
-        lo, hi = med - half, med + half
-    raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
+    return (yield from _brent(lo, hi, s_lo, s_hi))
 
 
 def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
@@ -459,9 +456,11 @@ def _brent(xpre: float, xcur: float, fpre: float, fcur: float):
     differ in sign.  Yields each next point and is sent its score; returns
     (root, iterations) as brentq reports them, except that an end scoring
     exactly 0 counts 0 iterations, where brentq leaves the count unset.  A
-    NaN score raises NonFiniteMoment and a spent iteration cap
-    BracketFailure.
+    NaN score, at an end or a step, raises NonFiniteMoment and a spent
+    iteration cap BracketFailure.
     """
+    if fpre != fpre or fcur != fcur:
+        raise NonFiniteMoment(f"proxy score is NaN in [{xpre}, {xcur}]")
     if fpre == 0.0:
         return xpre, 0
     if fcur == 0.0:

@@ -49,6 +49,11 @@ class McDesign:
     estimators: tuple[str, ...] = MC_ESTIMATORS
 
     def __post_init__(self):
+        odd = [d for d in self.distributions
+               if not isinstance(d, DistributionSpec)]
+        if odd:
+            raise ValueError(f"distributions must be DistributionSpec "
+                             f"(see parse_spec), got {odd}")
         if integer_value(self.replicates, "replicates") < 1:
             raise ValueError("replicates must be >= 1")
         # the replicate keys are built from its uint32 words

@@ -34,6 +34,7 @@ from fracmom import (
     FracmomError,
     McDesign,
     NonFiniteInput,
+    NonFiniteMoment,
     alpha_grid,
     basis_value,
     calibrate_grid_mc,
@@ -45,7 +46,6 @@ from fracmom import (
     run_baseline_mc,
     run_mc,
     sample,
-    second_exponent,
     write_baseline_csv,
     write_mc_csv,
 )
@@ -55,7 +55,7 @@ from fracmom.calibration import PLUGIN_WINSOR, _empirical_curves, \
     _resamples
 from fracmom.distributions import make_rng
 from fracmom import errors, estimators
-from fracmom.estimators import BRACKET_EXPANSION, MAX_BRACKET_DOUBLINGS, \
+from fracmom.estimators import BRACKET_EXPANSION, BRENT_RTOL, BRENT_XTOL, \
     EstimateResult, _brent, estimate_full_grid, estimate_proxy_grid
 from fracmom.moments import winsorize_rows
 
@@ -67,8 +67,8 @@ ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.495, 0.505, 0.05, 0.95]),
 @st.composite
 def sample_matrices(draw, max_rows=6, max_n=40, min_n=1, kinds=ROW_KINDS):
     """(M, N) samples whose rows are random, constant, tied, hold a NaN or
-    an inf, or are tied but for one far outlier (the proxy then widens its
-    bracket)."""
+    an inf, or are tied but for one outlier 1e5 or 1e20 away (the proxy's
+    starting bracket then may miss the root, which lies far out)."""
     n = draw(st.integers(min_n, max_n))
     rows = []
     for _ in range(draw(st.integers(1, max_rows))):
@@ -83,9 +83,9 @@ def sample_matrices(draw, max_rows=6, max_n=40, min_n=1, kinds=ROW_KINDS):
             row[draw(st.integers(0, n - 1))] = math.nan
         elif kind == "inf":
             row[draw(st.integers(0, n - 1))] = -math.inf
-        elif kind == "outlier":
+        elif kind in ("outlier", "far"):
             row[:-1] = row[0]
-            row[-1] = row[0] + 1e5
+            row[-1] = row[0] + (1e5 if kind == "outlier" else 1e20)
         rows.append(row)
     return np.stack(rows)
 
@@ -211,16 +211,16 @@ def test_shared_first_pass_maps_each_alpha_to_its_exponent():
     assert grid[2].theta_hat.tolist() != grid[4].theta_hat.tolist()
 
 
-def brentq_proxy(x, alpha, widenings=None) -> tuple[float, int]:
-    """estimate_proxy's (root, iterations) as the per-row proxy computed
-    them: a score closure over the sample, bracketed, then handed to
-    scipy's brentq.  A list given as widenings receives the number of
-    times the bracket was widened."""
+def brentq_proxy(x, alpha, extended=None) -> tuple[float, int]:
+    """estimate_proxy's (root, iterations) as scipy's brentq finds them: a
+    score closure over the sample, the starting bracket about the median
+    or, where its scores do not change sign, the data range beyond the end
+    that missed, then brentq.  A list given as extended receives 1 if the
+    bracket moved to a data end and 0 if not."""
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise NonFiniteInput("sample contains NaN or infinite values")
     a = float(alpha)
-    p = second_exponent(a)
     med = float(np.median(x))
     if math.isinf(med):  # the finite middle pair's sum overflowed
         lower, upper = np.sort(x)[len(x) // 2 - 1:len(x) // 2 + 1]
@@ -237,16 +237,16 @@ def brentq_proxy(x, alpha, widenings=None) -> tuple[float, int]:
     half = BRACKET_EXPANSION * max(scale, 1e-8 * (1.0 + abs(med)))
     lo, hi = med - half, med + half
     s_lo, s_hi = score(lo), score(hi)
-    for widened in range(MAX_BRACKET_DOUBLINGS):
-        if s_lo >= 0.0 >= s_hi:
-            if widenings is not None:
-                widenings.append(widened)
-            break
-        half *= 2.0
-        lo, hi = med - half, med + half
-        s_lo, s_hi = score(lo), score(hi)
-    else:
-        raise BracketFailure(f"no sign change in [{lo}, {hi}] for p={p}")
+    if extended is not None:
+        extended.append(int(s_lo < 0.0 or s_hi > 0.0))
+    if s_lo < 0.0:
+        lo, hi, s_hi = float(np.min(x)), lo, s_lo
+        s_lo = score(lo)
+    elif s_hi > 0.0:
+        lo, hi, s_lo = hi, float(np.max(x)), s_hi
+        s_hi = score(hi)
+    if math.isnan(s_lo) or math.isnan(s_hi):
+        raise NonFiniteMoment(f"proxy score is NaN in [{lo}, {hi}]")
     root, info = optimize.brentq(score, lo, hi, xtol=1e-12, full_output=True)
     # brentq leaves the count unset when an end scores exactly 0
     return float(root), 0 if s_lo == 0.0 or s_hi == 0.0 else info.iterations
@@ -269,6 +269,9 @@ def _row_outcome(rows, r):
 
 
 def _assert_proxy_rows_match_brentq(x, alpha):
+    """Every row of x as brentq_proxy finds it, alone and among the others;
+    every finite row is found, within Brent's tolerance of its data
+    range."""
     rows = estimate_proxy_grid(x, (alpha,))[0]
     with np.errstate(all="ignore"):
         for r in range(x.shape[0]):
@@ -277,10 +280,15 @@ def _assert_proxy_rows_match_brentq(x, alpha):
             one = estimate_proxy_grid(x[r:r + 1], (alpha,))[0]
             assert _row_outcome(one, 0) == expected, r
             assert rows.ok[r] == (r not in rows.errors)
+            if np.isfinite(x[r]).all():
+                assert rows.ok[r], r
+                theta = rows.theta_hat[r]
+                tol = BRENT_XTOL + BRENT_RTOL * abs(theta)
+                assert x[r].min() - tol <= theta <= x[r].max() + tol, r
 
 
 @settings(max_examples=300, deadline=None)
-@given(sample_matrices(kinds=ROW_KINDS + ("outlier",)), ALPHAS)
+@given(sample_matrices(kinds=ROW_KINDS + ("outlier", "far")), ALPHAS)
 def test_proxy_rows_match_brentq(x, alpha):
     _assert_proxy_rows_match_brentq(x, alpha)
 
@@ -293,26 +301,21 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
     x = np.stack([laplace, tied, np.full(40, -2.5), np.r_[np.full(39, -1.0),
                                                             1e3], 5 * laplace])
     _assert_proxy_rows_match_brentq(x, alpha)
-    # from p = 1 up the outlier row needs its bracket widened, alone and
-    # among rows that do not
-    widenings = []
-    brentq_proxy(x[3], alpha, widenings)
-    assert (widenings[0] > 0) == (alpha >= 0.5)
+    # from p = 1 up the outlier row's starting bracket misses its root,
+    # alone and among rows whose brackets hold theirs
+    extended = []
+    brentq_proxy(x[3], alpha, extended)
+    assert extended[0] == (alpha >= 0.5)
     assert estimate_proxy_grid(x[3:4], (alpha,))[0].ok.all()
-    # rows whose brackets widen 0 times, once, several times and until
-    # BracketFailure, so that rows still bracketing share score rounds with
-    # rows already in Brent steps
+    # rows whose starting brackets hold the root and rows whose brackets
+    # move to their data end, so that rows at a bracket end share score
+    # rounds with rows already in Brent steps
     wide = np.repeat(laplace[None, :], 6, axis=0)
     wide[:, 0] = (10.0, 30.0, 150.0, 5e3, 1e6, 1e100)
-    widenings = []
-    with np.errstate(all="ignore"):
-        for row in wide:
-            try:
-                brentq_proxy(row, alpha, widenings)
-            except BracketFailure:
-                widenings.append(None)
-    assert widenings[0] == 0 and 1 in widenings and widenings[-1] is None
-    assert max(w for w in widenings if w is not None) > 1
+    extended = []
+    for row in wide:
+        brentq_proxy(row, alpha, extended)
+    assert extended[0] == 0 and extended[-1] == 1
     _assert_proxy_rows_match_brentq(wide, alpha)
     # a row whose MAD is 0 need not be constant: 60 equal values and one
     # other, and 31 against 30, must search; the constant rows keep their
@@ -335,15 +338,16 @@ def test_proxy_rows_match_brentq_on_every_row_kind(alpha):
 @pytest.mark.parametrize("outlier", [None, 1e3])
 def test_one_basis_call_per_search_point(monkeypatch, alpha, outlier):
     """A one-row proxy call on a tie-free sample scores each point its
-    search yields with one basis_value call: two per bracket tried and one
-    per Brent step taken, which is one fewer than the iterations brentq
-    counts, since its last iteration takes no step."""
+    search yields with one basis_value call: two for the starting bracket,
+    one for the data end where that bracket misses the root, and one per
+    Brent step taken, which is one fewer than the iterations brentq counts,
+    since its last iteration takes no step."""
     x = sample(parse_spec("laplace"), 100, 19)
     if outlier is not None:
         x[0] = outlier
     assert np.unique(x).size == x.size
-    widenings = []
-    brentq_proxy(x, alpha, widenings)
+    extended = []
+    brentq_proxy(x, alpha, extended)
     calls = []
     real = estimators.basis_value
 
@@ -353,9 +357,9 @@ def test_one_basis_call_per_search_point(monkeypatch, alpha, outlier):
 
     monkeypatch.setattr(estimators, "basis_value", counted)
     res = estimate_proxy(x, alpha)
-    assert (widenings[0] > 0) == (outlier is not None and alpha >= 0.5)
+    assert extended[0] == (outlier is not None and alpha >= 0.5)
     assert res.outer_iters > 1
-    assert len(calls) == 2 * (widenings[0] + 1) + res.outer_iters - 1
+    assert len(calls) == 2 + extended[0] + res.outer_iters - 1
     assert set(calls) == {(1, x.size)}
 
 
@@ -383,9 +387,9 @@ def test_proxy_grid_matches_one_alpha_at_a_time(x, alphas):
 @pytest.mark.parametrize("block_rows", [None, 2])
 def test_proxy_grid_on_every_row_kind(monkeypatch, block_rows):
     """Rows whose setup the grid shares: random, constant, NaN and inf rows,
-    rows tied at the median (smoothed at p < 1 only), and a row whose bracket
-    fails at every alpha; a repeated alpha; and, with two rows per block,
-    more rows than one block."""
+    rows tied at the median (smoothed at p < 1 only), and a row whose root
+    lies 1e19 out, past its starting bracket at every alpha; a repeated
+    alpha; and, with two rows per block, more rows than one block."""
     laplace = sample(parse_spec("laplace"), 4, 6)
     x = np.array([laplace, np.full(4, 2.5), [1.0, math.nan, 0.0, 2.0],
                   [1.0, 1.0, 1.0, 2.0], [-1.0, -1.0, -1.0, 1e20],
@@ -400,8 +404,7 @@ def test_proxy_grid_on_every_row_kind(monkeypatch, block_rows):
     grid = estimate_proxy_grid(x, alphas)
     with np.errstate(all="ignore"):
         for alpha, rows in zip(alphas, grid):
-            assert sorted(rows.errors) == [2, 4, 5]
-            assert type(rows.errors[4]) is BracketFailure
+            assert sorted(rows.errors) == [2, 5]
             for r in range(x.shape[0]):
                 assert _row_outcome(rows, r) == _proxy_outcome(
                     brentq_proxy, x[r], alpha), (alpha, r)
@@ -539,10 +542,10 @@ def test_baseline_rows_match_reference_by_n(n):
 def test_proxy_rows_match_brentq_at_large_n(alpha):
     laplace = sample(parse_spec("laplace"), 100_000, 12)
     outlier = laplace.copy()
-    outlier[0] = 1e12  # its bracket widens
-    widenings = []
-    brentq_proxy(outlier, alpha, widenings)
-    assert widenings[0] > 0
+    outlier[0] = 1e12  # its starting bracket misses the root
+    extended = []
+    brentq_proxy(outlier, alpha, extended)
+    assert extended[0] == 1
     _assert_proxy_rows_match_brentq(np.stack([laplace, outlier]), alpha)
 
 
@@ -578,7 +581,7 @@ GOLDEN_DESIGN = McDesign(
     (1, 2, 7, 40), (0.0, 0.05, 0.5, 0.95, 1.0), replicates=25,
     base_seed=2026)
 GOLDEN_CSV = {
-    "mc": "33d5df0f982847ec85883ae42481ad9491d34e85be07d9ec4c875669ced9cf19",
+    "mc": "d4a8c81536777e70b63c849bab96b96a87b4dd6e48d67caee238926391e79f8e",
     "baselines":
         "24393822949299d9a682809465eeaa994d9c14fb7b9e365f6008f274a0817e8c",
 }

@@ -19,8 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracmom import calibrate_grid_mc, calibrate_plugin, estimate_full, \
-    estimate_proxy, parse_spec, sample
+from fracmom import NonFiniteMoment, calibrate_grid_mc, calibrate_plugin, \
+    estimate_full, estimate_proxy, parse_spec, sample
 from fracmom import calibration, errors, estimators
 from fracmom.baselines import baseline_rows
 from fracmom.basis import SWEEP_BAND
@@ -42,9 +42,10 @@ def _edge_rows() -> np.ndarray:
     a NaN row ends block 0, a constant row (routed to the proxy by the full
     solver) starts block 1, a row whose zero floor underflows (also routed
     to the proxy) ends it, a tied row and a row with one far outlier (the
-    proxy widens its bracket) start block 2, and block 3 holds a row near
-    1e200, whose moments and proxy score overflow, and a row that the full
-    solver routes to the proxy, whose bracket fails at alpha = 0.95."""
+    proxy's starting bracket misses its root) start block 2, and block 3
+    holds a row near 1e200, whose moments and proxy score overflow, and a
+    row that the full solver routes to the proxy, whose root lies 1e19
+    out."""
     laplace = parse_spec("laplace")
     x = np.stack([sample(laplace, N, [1234, 0, 0, 57]),  # stops at pass 2
                   sample(laplace, N, [1234, 0, 0, 0]),
@@ -107,8 +108,8 @@ def test_blocks_give_what_one_block_gives(monkeypatch, block_rows):
     assert full.method.tolist()[3:6] == ["proxy", "full", "proxy"]
     assert sorted(full.errors) == [2, 9]
     assert full.method[10] == "proxy"
-    assert sorted(estimate_full_grid(x, (0.95,))[0].errors) == [2, 9, 10]
-    assert sorted(estimate_proxy_grid(x, (0.95,))[0].errors) == [2, 9, 10]
+    assert sorted(estimate_full_grid(x, (0.95,))[0].errors) == [2, 9]
+    assert sorted(estimate_proxy_grid(x, (0.95,))[0].errors) == [2, 9]
     monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * N)
     assert len(list(errors.row_blocks(*x.shape))) == \
         math.ceil(len(x) / block_rows)
@@ -334,26 +335,29 @@ def test_grid_resamples_are_rng_choice(monkeypatch, seed, n, block_rows):
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_grid_raises_the_first_alpha_error_at_its_lowest_row(monkeypatch,
                                                              block_rows):
-    # with one point at 1e20, the proxy's bracket fails on resamples at
-    # both alphas: first at row 54 at alpha 0.3, and already at row 2 at
-    # alpha 0.7.  The error raised is alpha 0.3's, as from one matrix
-    # estimated whole, though in 3-row blocks alpha 0.7's comes first
+    # with one point at 1e154, the moments of resamples overflow at both
+    # alphas: at alpha 0.3 where the point is drawn twice or more, first at
+    # row 4, and at alpha 0.7 where it is drawn at all, already at row 2.
+    # The error raised is alpha 0.3's, as from one matrix estimated whole,
+    # though in 3-row blocks alpha 0.7's comes first.  Both errors read
+    # alike, so the last check tells them apart by identity
     n = 40
-    x = np.r_[sample(parse_spec("laplace"), n, 5)[:-1], 1e20]
+    x = np.r_[sample(parse_spec("laplace"), n, 5)[:-1], 1e154]
     grid = (0.3, 0.7)
     whole = estimate_full_grid(
         make_rng([0, 7919]).choice(x, size=(100, n)), grid)
-    assert [min(res.errors) for res in whole] == [54, 2]
-    expected = whole[0].errors[54]
-    assert str(expected) != str(whole[1].errors[2])
+    assert [min(res.errors) for res in whole] == [4, 2]
+    expected = whole[0].errors[4]
+    assert type(expected) is NonFiniteMoment
     if block_rows is not None:
         monkeypatch.setattr(errors, "BLOCK_ELEMENTS", block_rows * n)
     seen = _spy_grid(monkeypatch)
     with pytest.raises(type(expected)) as raised:
         calibrate_grid_mc(x, grid, bootstrap_b=100, seed=0)
     assert str(raised.value) == str(expected)
-    # the exception is the object the block holding row 54 produced
-    first = 54 // block_rows if block_rows is not None else 0
+    # the exception is the object the block holding row 4 produced at
+    # alpha 0.3
+    first = 4 // block_rows if block_rows is not None else 0
     results = seen[first][1][0]
     assert raised.value is results.errors[min(results.errors)]
 

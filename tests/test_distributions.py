@@ -260,7 +260,7 @@ class TestShapeSummaries:
         # at beta = 0.5 is 25.2, so the excess form gives 22.2
         assert gg_kurtosis(0.5) == pytest.approx(22.2, abs=1e-10)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
     def test_gg_kurtosis_needs_a_positive_shape(self, beta):
         with pytest.raises(ValueError, match="beta must be > 0"):
             gg_kurtosis(beta)

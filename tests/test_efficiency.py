@@ -196,6 +196,9 @@ class TestClassicalReference:
     def test_kurtosis_floor(self):
         with pytest.raises(ValueError):
             g2_classical(0.5, -2.0)
+        # NaN passed the floor check and came back as the ratio
+        with pytest.raises(ValueError, match="gamma4"):
+            g2_classical(0.0, math.nan)
 
 
 class TestSweep:

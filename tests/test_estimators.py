@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fracmom import (
-    BracketFailure,
     NonFiniteInput,
     NonFiniteMoment,
     alpha_grid,
@@ -286,19 +285,21 @@ class TestProxyEstimator:
             score = np.sum(np.sign(x - mu) * np.abs(x - mu) ** p)
             assert abs(score) < 1e-7 * np.sum(np.abs(x - mu) ** p)
 
-    def test_bracket_widens_to_root_and_caps_at_bracket_failure(self):
+    def test_bracket_reaches_near_and_far_roots(self):
         x = np.array([-100.0, 0.0, 100.0])
         assert estimate_proxy(x, 0.2).theta_hat == pytest.approx(0.0, abs=1e-8)
-        # monotone score: the starting half-width 10 widens until it holds
-        # the root near 110
+        # monotone score: the starting bracket [-11, 9] misses the root near
+        # 110, so Brent runs on [9, 1e3], up to the largest point
         mu = estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e3]), 0.05).theta_hat
         p = second_exponent(0.05)
         assert 3.0 * (mu + 1.0) ** p == pytest.approx((1e3 - mu) ** p, rel=1e-9)
-        # the root sits past the last bracket the doubling cap checks, so the
-        # search stops with BracketFailure, not a raw scipy error; solving in
-        # standardized units (see ROADMAP.md) is expected to make this succeed
-        with pytest.raises(BracketFailure):
-            estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e20]), 0.05)
+        # a root 1e19 out, which a bracket doubled 60 times about the median
+        # did not reach: 3 (mu + 1)^p = (1e20 - mu)^p, so
+        # mu = (1e20 - 3^(1/p)) / (1 + 3^(1/p))
+        res = estimate_proxy(np.array([-1.0, -1.0, -1.0, 1e20]), 0.05)
+        c = 3.0 ** (1.0 / p)
+        assert res.theta_hat == pytest.approx((1e20 - c) / (1.0 + c),
+                                              rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_nan_score_is_nonfinite_moment(self, scale):
@@ -307,6 +308,15 @@ class TestProxyEstimator:
         x = scale * sample(parse_spec("laplace"), 200, 0) + 5.5 * scale
         with pytest.raises(NonFiniteMoment, match="NaN"):
             estimate_proxy(x, 0.95)
+
+    @pytest.mark.parametrize("x", [[1e308, 1e308, 1.5e308],
+                                   [-1e308, -1e308, -1e308, 1.7e308]])
+    @pytest.mark.parametrize("alpha", [0.05, 0.95])
+    def test_nan_score_at_a_bracket_end(self, x, alpha):
+        # the starting bracket's upper end scores inf - inf: refused before
+        # any Brent step, which would report the point it stepped to
+        with pytest.raises(NonFiniteMoment, match=r"NaN in \["):
+            estimate_proxy(x, alpha)
 
     def test_root_on_a_bracket_end(self):
         # the starting bracket is [-10, 10] and the score 40 - 4 mu is

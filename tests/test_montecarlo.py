@@ -118,6 +118,14 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="alpha"):
             McDesign(laplace, (50,), (0.05, 1.5), replicates=10)
 
+    @pytest.mark.parametrize("dists", [("laplace",), (None,),
+                                       (parse_spec("laplace"), "gg:4")])
+    def test_distributions_must_be_specs(self, dists):
+        # a name where a spec belongs failed inside run_mc with a raw
+        # AttributeError
+        with pytest.raises(ValueError, match="DistributionSpec"):
+            McDesign(dists, (10,), (0.05,), replicates=2)
+
     def test_sample_size_below_one_rejected(self):
         laplace = (parse_spec("laplace"),)
         for n_values in ((0,), (50, -3)):
