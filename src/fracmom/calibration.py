@@ -241,9 +241,9 @@ def silverman_bandwidth(resid: np.ndarray) -> float:
 
 def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     """Plug-in differential entropy via Epanechnikov KDE, plus the derived
-    entropy coefficient k = exp(H)/(2*sd) and contrexcess.  The sd, IQR and
-    kurtosis are taken at unit scale (_unit_scale), so that k and the
-    contrexcess do not depend on the scale of the residuals."""
+    entropy coefficient k = exp(H)/(2*sd) and contrexcess.  The KDE, sd,
+    IQR and kurtosis are taken at unit scale (_unit_scale), so that k and
+    the contrexcess do not depend on the scale of the residuals."""
     resid = float_array(residuals).ravel()
     if resid.size < 100:
         raise SmallSample(f"entropy diagnostic needs N >= 100, got {resid.size}")
@@ -253,9 +253,14 @@ def entropy_diagnostic(residuals) -> EntropyDiagnostic:
     if sd == 0.0:
         raise DegenerateSample("zero-variance residuals")
     h = silverman_bandwidth(resid)
-    dens = _epanechnikov_density(resid, resid, h)
+    # n * h and the differences cannot overflow at unit scale, and a power
+    # of two scales every normal density back exactly
+    dens = np.ldexp(_epanechnikov_density(unit, unit, math.ldexp(h, -e)), -e)
     h_hat = float(-np.mean(np.log(dens)))
-    k_hat = math.exp(h_hat) / (2.0 * math.ldexp(sd, e))
+    # exp(h_hat) overflows past 709.78, where the largest |residual| nears
+    # the float limit; exp(h_hat - e log 2) divides 2**e out first
+    k_hat = (math.exp(h_hat) / (2.0 * math.ldexp(sd, e)) if h_hat < 709.0
+             else math.exp(h_hat - e * math.log(2.0)) / (2.0 * sd))
     centered = unit - mean_rows(unit[None, :])[0]
     g4 = float(np.mean(centered**4) / np.mean(centered**2) ** 2 - 3.0)
     kappa = 1.0 / math.sqrt(g4 + 3.0) if g4 > -3.0 else None

@@ -217,12 +217,10 @@ def _full_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     xi = x - center
     sums = moment_sums(xi, ps, fl)
     # np.std(x, ddof=1) by the same arithmetic, c2's row sum, and 0 where
-    # N is 1: a finite row's c2 is 0 there
+    # N is 1: a finite row's c2 is 0 there.  An infinite sd is never read:
+    # its row's c2 is infinite, so the row's determinant is not finite and
+    # it never steps
     sd = np.sqrt(sums[0][0] / max(n - 1, 1))
-    wide = finite & ~np.isfinite(sd)
-    if np.count_nonzero(wide):
-        q75, q25 = np.percentile(x[wide], [75.0, 25.0], axis=-1)
-        sd[wide] = (q75 - q25) / 1.349
     clip = STEP_CLIP_SD * sd
     going = finite & (floor > 0.0)
     start = (going, finite & ~going, mean, fl, -clip, clip)
@@ -332,10 +330,11 @@ def _proxy_block(x: np.ndarray, finite: np.ndarray, rows: np.ndarray,
     med = median_rows(x)
     mad = _mad(x, med)
     # a constant row's root is its value, which its median holds.  A row
-    # whose MAD is positive and finite is not constant (a constant row has
-    # an infinite MAD where its median overflows), so only the other finite
-    # rows are compared with their extremes
-    live = finite & (mad > 0.0) & (mad < math.inf)
+    # whose MAD is positive is not constant, so only the finite rows whose
+    # MAD is 0 are compared with their extremes.  A finite row's MAD is
+    # finite, as are its median and more than half its deviations: those
+    # of its values beyond the median from 0, and for even N the nearest
+    live = finite & (mad > 0.0)
     if np.count_nonzero(live) < live.size:
         flat = (finite & ~live).nonzero()[0]
         live[flat] = x[flat].max(axis=1) != x[flat].min(axis=1)

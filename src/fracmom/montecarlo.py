@@ -49,6 +49,9 @@ class McDesign:
     estimators: tuple[str, ...] = MC_ESTIMATORS
 
     def __post_init__(self):
+        for name in ("distributions", "n_values", "estimators"):
+            if not np.iterable(getattr(self, name)):
+                raise ValueError(f"{name} must be a sequence")
         odd = [d for d in self.distributions
                if not isinstance(d, DistributionSpec)]
         if odd:

@@ -116,6 +116,34 @@ def test_blocks_give_what_one_block_gives(monkeypatch, block_rows):
     assert _kernels(x) == whole
 
 
+def _outcome(call) -> tuple:
+    # a call's EstimateResult, or its exception, as comparable values
+    try:
+        res = call()
+    except Exception as exc:  # the exception is part of the outcome
+        return type(exc), str(exc)
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(res))
+
+
+def test_row_whose_c2_overflows_fails_at_pass_one():
+    # the 1e200 row is finite, but its c2 row sum, and so its sd, is
+    # infinite: its determinant is not finite, so it never steps and never
+    # reads its step bound.  The block's other rows are their one-row calls
+    x = _edge_rows()
+    with np.errstate(over="ignore"):
+        assert math.isinf(np.sum((x[9] - np.mean(x[9])) ** 2))
+    alphas = (*GRID, 0.49, 0.51)
+    for a, rows in zip(alphas, estimate_full_grid(x, alphas)):
+        exc = rows.errors[9]
+        assert type(exc) is NonFiniteMoment, a
+        assert str(exc) == "moment set contains non-finite entries"
+        assert rows.outer_iters[9] == 0, a
+        for r in (0, 1, 2, 3, 4, 5, 6, 7, 8, 10):
+            assert _outcome(lambda: rows.result(r)) == \
+                _outcome(lambda: estimate_full(x[r], a)), (a, r)
+
+
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 @pytest.mark.parametrize("grid", [estimate_full_grid, estimate_proxy_grid])
 def test_one_input_check_per_grid_call(monkeypatch, grid, block_rows):

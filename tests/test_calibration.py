@@ -314,13 +314,16 @@ class TestEntropyDiagnostic:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_scales(self):
-        # the sd, IQR and kurtosis are taken at unit scale, so neither
-        # overflow (k_hat 0 at 1e200) nor underflow (a zero sd at 1e-200)
-        # reaches the coordinates
+        # the KDE, sd, IQR and kurtosis are taken at unit scale, so neither
+        # overflow (k_hat 0 at 1e200, and inf where the largest |residual|
+        # is 1e308 and n * h overflows, or the largest float and the KDE's
+        # differences overflow) nor underflow (a zero sd at 1e-200) reaches
+        # the coordinates; at the largest float exp(h_hat) overflows too
         x = sample(parse_spec("laplace"), 200, 3)
         base = entropy_diagnostic(x)
+        top = np.max(np.abs(x))
         for c in (1e-300, 1e-200, 1e-100, 1e-12, 1e12, 1e100, 1e150, 1e200,
-                  1e300):
+                  1e300, 1e308 / top, np.finfo(float).max / top):
             d = entropy_diagnostic(c * x)
             assert d.k_hat == pytest.approx(base.k_hat, rel=1e-12), c
             assert d.kappa_hat == pytest.approx(base.kappa_hat, rel=1e-12), c

@@ -199,6 +199,10 @@ class TestClassicalReference:
         # NaN passed the floor check and came back as the ratio
         with pytest.raises(ValueError, match="gamma4"):
             g2_classical(0.0, math.nan)
+        # a gamma3 that is not finite came back as NaN or -inf
+        for gamma3 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma3"):
+                g2_classical(gamma3, 0.0)
 
 
 class TestSweep:

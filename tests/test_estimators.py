@@ -76,6 +76,27 @@ def test_median_of_finite_values_near_the_float_limit():
         assert median_rows(rows).tolist() == [1.25e308, -1e308, -1e308, 5e307]
 
 
+def test_median_and_mad_of_finite_rows_near_the_float_limit_are_finite():
+    # the proxy takes a positive MAD as a live row and the robust scale, so
+    # no finite row may have an infinite median or MAD.  More than half of
+    # a finite row's deviations from its finite median are finite; _mad
+    # runs the same arithmetic
+    values = np.array([1.797e308, 1e308, 5e307, 1.0, 0.0, -1.0, -5e307,
+                       -1e308, -1.797e308])
+    rng = np.random.default_rng(29)
+    for n in range(1, 12):
+        x = np.concatenate([rng.choice(values, (4000, n)),
+                            np.full((1, n), 1.797e308),
+                            np.r_[np.full(n // 2, -1.797e308),
+                                  np.full(n - n // 2, 1.797e308)][None]])
+        # deviations overflow to inf, and an inf beside an overflowing
+        # middle pair warns in median_rows' finiteness test
+        with np.errstate(over="ignore", invalid="ignore"):
+            med = median_rows(x)
+            mad = median_rows(np.abs(x - med[:, None]))
+        assert np.isfinite(med).all() and np.isfinite(mad).all(), n
+
+
 @pytest.mark.parametrize("call", [
     lambda x: estimate_full(x, None),
     lambda x: estimate_full(x, "a"),

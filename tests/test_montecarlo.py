@@ -126,6 +126,17 @@ class TestDesignValidation:
         with pytest.raises(ValueError, match="DistributionSpec"):
             McDesign(dists, (10,), (0.05,), replicates=2)
 
+    @pytest.mark.parametrize("field", ["distributions", "n_values",
+                                       "estimators"])
+    @pytest.mark.parametrize("value", [None, 3, np.array(10)])
+    def test_fields_must_be_iterable(self, field, value):
+        # they failed with a raw TypeError, "object is not iterable"
+        fields = dict(distributions=(parse_spec("laplace"),), n_values=(10,),
+                      alpha_values=(0.05,), replicates=2)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a sequence"):
+            McDesign(**fields)
+
     def test_sample_size_below_one_rejected(self):
         laplace = (parse_spec("laplace"),)
         for n_values in ((0,), (50, -3)):
