@@ -10,9 +10,11 @@ sub-linear roots at ``alpha = 0`` (``p_i = 1/i``), all-linear collapse at
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import real_value
+from .errors import integer_value, real_value
 
 # Half-width of the protected interval around alpha = 1/2.  The estimator
 # falls back to the sample mean inside the narrow band; curve sweeps exclude
@@ -49,32 +51,49 @@ def exponent(i: int, alpha) -> float:
     Strictly positive on [0, 1] for i <= 5; from i = 6 the interpolating
     quadratic dips below zero near alpha ~ 0.15 (the degree-2 estimator only
     ever uses i = 2, where p stays in [1/2, 2]).  The quadratic extends to
-    any real alpha; range enforcement belongs to alpha_value and the
-    estimators.
+    any finite real alpha; range enforcement belongs to alpha_value and the
+    estimators.  An index that is not an integer >= 1, and an alpha that is
+    not a finite real number, raise ValueError.
     """
-    if i < 1:
-        raise ValueError(f"basis index must be >= 1, got {i}")
+    i = _index(i)
+    a = _finite_alpha(alpha)
     if i == 1:
         return 1.0
-    a = float(alpha)
     return 1.0 / i + (4.0 - i - 3.0 / i) * a + (2.0 * i - 4.0 + 2.0 / i) * a * a
 
 
 def second_exponent(alpha) -> float:
     """p_2(alpha) = 1/2 + alpha/2 + alpha^2, the exponent driving the
-    degree-2 estimator."""
-    a = float(alpha)
+    degree-2 estimator; exponent(2, alpha) bit for bit, with its check of
+    alpha."""
+    a = _finite_alpha(alpha)
     return 0.5 + 0.5 * a + a * a
+
+
+def _index(i) -> int:
+    # a basis index: an integer >= 1 (integer_value refuses bools and floats)
+    i = integer_value(i, "basis index")
+    if i < 1:
+        raise ValueError(f"basis index must be >= 1, got {i}")
+    return i
+
+
+def _finite_alpha(alpha) -> float:
+    # any finite real alpha, by real_value, which refuses strings
+    a = real_value(alpha, "alpha")
+    if not math.isfinite(a):
+        raise ValueError(f"alpha must be finite, got {a}")
+    return a
 
 
 def collision_roots(i: int, j: int) -> tuple[float, float]:
     """The two alpha values where p_i and p_j coincide: {1/2, -1/(ij-1)}.
 
     The second root is negative for every admissible pair, so 1/2 is the only
-    collision inside [0, 1].
+    collision inside [0, 1].  Both indices are checked as exponent checks
+    its index.
     """
-    if not (1 <= i < np.inf and 1 <= j < np.inf):  # NaN fails too
-        raise ValueError("indices must be finite and >= 1")
+    i, j = _index(i), _index(j)
     if i == j:
         raise ValueError("indices must differ")
     return 0.5, -1.0 / (i * j - 1)
@@ -88,10 +107,16 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
     smoothing is never applied to exponents >= 1 nor to the identity member.
     ``out``, an array of xi's shape that shares no memory with it, receives
     the values and is returned; for a scalar xi it is a 0-d array, and the
-    float is returned.  The values are the same bits either way.
+    float is returned.  The values are the same bits either way.  i and
+    alpha are checked as exponent checks them.
     """
     if not epsilon >= 0.0:  # NaN fails too
         raise ValueError("epsilon must be >= 0")
+    # exponent's checks, before the identity shortcut.  p_2 is
+    # second_exponent bit for bit, at a third of exponent's cost: the proxy
+    # calls this once per score evaluation
+    p = second_exponent(alpha) if integer_value(i, "basis index") == 2 \
+        else exponent(i, alpha)
     x = np.asarray(xi, dtype=float)
     if i == 1 or float(alpha) == 0.5:
         # member 1 is the identity, and every member collapses to it at the
@@ -100,9 +125,6 @@ def basis_value(i: int, alpha, xi, epsilon: float = 0.0, out=None):
             return x if x.ndim else float(xi)
         np.copyto(out, x)
         return out if x.ndim else float(out)
-    # p_2 is second_exponent bit for bit, at a third of exponent's cost: the
-    # proxy calls this once per score evaluation
-    p = second_exponent(alpha) if i == 2 else exponent(i, alpha)
     # one array per call, written in place: the proxy calls this once per
     # score evaluation, and at large N fresh arrays cost page faults.  Every
     # form reads x after writing v, so v must not be x.  The ufuncs take

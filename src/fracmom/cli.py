@@ -11,20 +11,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .basis import SWEEP_BAND, alpha_list
-from .calibration import calibrate_grid_mc, calibrate_oracle, calibrate_plugin
-from .distributions import parse_spec, shape_summary
-from .efficiency import alpha_grid, g2_sweep
-from .errors import FracmomError
-from .estimators import estimate_full, estimate_ols, estimate_proxy
-from .montecarlo import MC_ESTIMATORS, McDesign, default_design, \
-    run_baseline_mc, run_mc, write_baseline_csv, write_calibration_csv, \
-    write_csv_rows, write_mc_csv, write_sweep_csv
+# the package's names load their modules on first use, so a command loads
+# only what it runs: ``estimate`` imports no scipy
+import fracmom as fm
 
 
 class UsageError(Exception):
@@ -45,7 +38,7 @@ def read_data_file(path) -> np.ndarray:
             if text:
                 values.append(float(text))
     if not values:
-        raise FracmomError(f"no data values in {path}")
+        raise fm.FracmomError(f"no data values in {path}")
     return np.asarray(values)
 
 
@@ -56,7 +49,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="theoretical variance-ratio curve")
     p.add_argument("--dist", required=True)
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--band", type=float, default=SWEEP_BAND)
+    p.add_argument("--band", type=float, default=fm.SWEEP_BAND)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("estimate", help="estimate location from a data file")
@@ -75,8 +68,7 @@ def _build_parser() -> _Parser:
                        help="Monte Carlo over a design")
     p.add_argument("--design", default=None, help="JSON design file")
     p.add_argument("--alpha", type=float, nargs="+", default=None)
-    p.add_argument("--estimators", nargs="+", choices=MC_ESTIMATORS,
-                   default=None)
+    p.add_argument("--estimators", nargs="+", default=None)
 
     sub.add_parser("baselines", parents=[design_flags],
                    help="robust baselines on the MC design")
@@ -87,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--criterion", choices=("oracle", "plugin", "grid"),
                    default="plugin")
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--band", type=float, default=SWEEP_BAND)
+    p.add_argument("--band", type=float, default=fm.SWEEP_BAND)
     p.add_argument("--bootstrap", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -109,16 +101,16 @@ def _count(v) -> int:
 
 # McDesign field -> conversion of its JSON or flag value
 _DESIGN_FIELDS = {
-    "distributions": lambda v: tuple(parse_spec(s) for s in v),
+    "distributions": lambda v: tuple(fm.parse_spec(s) for s in v),
     "n_values": lambda v: tuple(_count(n) for n in v),
-    "alpha_values": lambda v: tuple(alpha_list(v)),
+    "alpha_values": lambda v: tuple(fm.basis.alpha_list(v)),
     "replicates": _count,
     "base_seed": _count,
     "estimators": tuple,
 }
 
 
-def _design_from_args(args) -> McDesign:
+def _design_from_args(args) -> fm.McDesign:
     """The design of ``--design`` or of the flags; a field left out keeps
     ``default_design()``'s value.  A malformed design, or ``--design``
     together with a design flag, is a usage error."""
@@ -144,7 +136,7 @@ def _design_from_args(args) -> McDesign:
         raise UsageError(f"unknown design keys {unknown}; "
                          f"choose from {tuple(_DESIGN_FIELDS)}")
     try:
-        return replace(default_design(),
+        return replace(fm.default_design(),
                        **{k: _DESIGN_FIELDS[k](v) for k, v in raw.items()
                           if v is not None})
     except (TypeError, ValueError) as exc:
@@ -152,9 +144,9 @@ def _design_from_args(args) -> McDesign:
 
 
 def _cmd_sweep(args) -> int:
-    curve = g2_sweep(parse_spec(args.dist), args.step, args.band)
+    curve = fm.g2_sweep(fm.parse_spec(args.dist), args.step, args.band)
     if args.out:
-        write_sweep_csv(curve, args.out)
+        fm.write_sweep_csv(curve, args.out)
     print(f"argmin alpha={curve.argmin_alpha:g} g2={curve.argmin_g2:.6f}"
           + (f" -> {args.out}" if args.out else ""))
     return 0
@@ -163,11 +155,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     x = read_data_file(args.data)
     if args.method == "full":
-        res = estimate_full(x, args.alpha)
+        res = fm.estimate_full(x, args.alpha)
     elif args.method == "proxy":
-        res = estimate_proxy(x, args.alpha)
+        res = fm.estimate_proxy(x, args.alpha)
     else:
-        res = estimate_ols(x)
+        res = fm.estimate_ols(x)
     print(f"theta_hat={res.theta_hat!r} method={res.method}"
           f" iters={res.outer_iters} converged={int(res.converged)}")
     return 0
@@ -188,21 +180,23 @@ def _cmd_calibrate(args) -> int:
     if args.criterion == "oracle":
         if not args.dist:
             raise UsageError("--criterion oracle requires --dist")
-        result = calibrate_oracle(parse_spec(args.dist), args.step, args.band)
+        result = fm.calibrate_oracle(fm.parse_spec(args.dist), args.step,
+                                     args.band)
     else:
         if not args.data:
             raise UsageError(f"--criterion {args.criterion} requires --data")
         x = read_data_file(args.data)
         if args.criterion == "plugin":
-            result = calibrate_plugin(x, args.step, args.band,
-                                      bootstrap_b=args.bootstrap,
-                                      seed=args.seed)
+            result = fm.calibrate_plugin(x, args.step, args.band,
+                                         bootstrap_b=args.bootstrap,
+                                         seed=args.seed)
         else:
-            result = calibrate_grid_mc(x, alpha_grid(args.step, args.band),
-                                       bootstrap_b=args.bootstrap,
-                                       seed=args.seed)
+            result = fm.calibrate_grid_mc(x, fm.alpha_grid(args.step,
+                                                           args.band),
+                                          bootstrap_b=args.bootstrap,
+                                          seed=args.seed)
     if args.out:
-        write_calibration_csv(result, args.out)
+        fm.write_calibration_csv(result, args.out)
     lo, hi = result.sensitivity_interval
     print(f"alpha_star={result.alpha_star:g} criterion={result.criterion}"
           f" interval=[{lo:g},{hi:g}] ambiguous={int(result.ambiguous)}")
@@ -215,28 +209,29 @@ def _cmd_reproduce_all(args) -> int:
     seed = args.seed
 
     for name in ("laplace", "gaussian", "gg:0.5", "gg:1.5", "gg:4", "beta:2:5"):
-        curve = g2_sweep(parse_spec(name), 0.05, SWEEP_BAND)
-        write_sweep_csv(curve, out / f"sweep_{name.replace(':', '_')}.csv")
+        curve = fm.g2_sweep(fm.parse_spec(name), 0.05, fm.SWEEP_BAND)
+        fm.write_sweep_csv(curve, out / f"sweep_{name.replace(':', '_')}.csv")
 
-    design = default_design(replicates=args.replicates, base_seed=seed)
-    write_mc_csv(run_mc(design), out / "mc_results.csv")
+    design = fm.default_design(replicates=args.replicates, base_seed=seed)
+    fm.write_mc_csv(fm.run_mc(design), out / "mc_results.csv")
 
     base_design = replace(design, n_values=(100,), alpha_values=(0.05,))
-    write_baseline_csv(run_baseline_mc(base_design), out / "baselines.csv")
+    fm.write_baseline_csv(fm.run_baseline_mc(base_design),
+                          out / "baselines.csv")
 
     rows = []
     for name in ("gaussian", "laplace", "triangular", "uniform", "arcsine",
                  "gg:0.5", "gg:1.5", "gg:4", "beta:2:5", "cauchy"):
-        spec = parse_spec(name)
-        s = shape_summary(spec)
+        spec = fm.parse_spec(name)
+        s = fm.shape_summary(spec)
         rows.append((name, s.gamma3, s.gamma4, s.contrexcess, s.entropy_coeff,
                      s.entropic_error))
-    write_csv_rows(out / "topographic.csv",
-                   ("distribution", "gamma3", "gamma4", "contrexcess",
-                    "entropy_coeff", "entropic_error"), rows)
+    fm.write_csv_rows(out / "topographic.csv",
+                      ("distribution", "gamma3", "gamma4", "contrexcess",
+                       "entropy_coeff", "entropic_error"), rows)
 
-    result = calibrate_oracle(parse_spec("laplace"))
-    write_calibration_csv(result, out / "calibrate_oracle_laplace.csv")
+    result = fm.calibrate_oracle(fm.parse_spec("laplace"))
+    fm.write_calibration_csv(result, out / "calibrate_oracle_laplace.csv")
 
     print(f"reproduced CSVs in {out}")
     return 0
@@ -245,9 +240,11 @@ def _cmd_reproduce_all(args) -> int:
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "estimate": _cmd_estimate,
-    "mc": partial(_cmd_design_run, run_mc, write_mc_csv, "mc_results.csv"),
-    "baselines": partial(_cmd_design_run, run_baseline_mc, write_baseline_csv,
-                         "baselines.csv"),
+    # the montecarlo functions are looked up only when their command runs
+    "mc": lambda args: _cmd_design_run(fm.run_mc, fm.write_mc_csv,
+                                       "mc_results.csv", args),
+    "baselines": lambda args: _cmd_design_run(
+        fm.run_baseline_mc, fm.write_baseline_csv, "baselines.csv", args),
     "calibrate": _cmd_calibrate,
     "reproduce-all": _cmd_reproduce_all,
 }
@@ -263,7 +260,7 @@ def cli_main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except (FracmomError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (fm.FracmomError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

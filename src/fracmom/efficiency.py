@@ -1,115 +1,154 @@
-"""Degree-2 weight system and the closed-form variance-reduction ratio.
+"""Population moments and the closed-form variance-reduction ratio.
+
+The population side of the package: the absolute and signed moments of a
+distribution, closed form where known and by adaptive quadrature
+otherwise, and the ratio ``g2`` built from them.  With ``distributions``
+it is the one module that imports scipy; the estimators never import it.
 
 ``g2`` compares the asymptotic variance of the adaptive-basis location
 estimator against the plain sample mean; values below 1 are a strict gain.
-The ratio collapses to the indeterminate 0/0 at alpha = 1/2 where the basis
-loses rank, so sweeps carry an exclusion band around that point.
-"""
+The ratio collapses to the indeterminate 0/0 at alpha = 1/2 where the
+basis loses rank, so sweeps carry an exclusion band around that point."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+from scipy import integrate, special
 
 from .basis import SWEEP_BAND, second_exponent
 from .distributions import DistributionSpec
 from .errors import DegenerateRatio, NonFiniteMoment, \
-    NonPositiveDenominator, SingularSystem, real_value
-from .moments import FractionalMomentSet, MomentRows, abs_moment, \
-    theoretical_set
-# theoretical_moments is no longer called here; perfbench/tracer.py binds it
-# through this module
-from .moments import theoretical_moments  # noqa: F401
+    NonPositiveDenominator, QuadratureError, real_value
+from .moments import FractionalMomentSet, MomentRows
 
-DET_THRESHOLD = 1e-14
-COND_CAP = 1e10
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
 RATIO_COLLAPSE_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class CorrelantSystem:
-    """Symmetric 2x2 moment matrix, target vector, and solved weights."""
+# ---------------------------------------------------------------------------
+# quadrature oracle
+# ---------------------------------------------------------------------------
 
-    f11: float
-    f12: float
-    f22: float
-    b1: float
-    b2: float
-    h1: float
-    h2: float
-    det: float
-    cond: float
-
-
-class SystemRows(NamedTuple):
-    """The weight systems of M moment rows: each field is an (M,) array named
-    as in CorrelantSystem (b1 is 1 in every row), plus ``regular``, the rows
-    that build_correlant_system does not refuse as singular."""
-
-    f11: np.ndarray
-    f12: np.ndarray
-    f22: np.ndarray
-    b2: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    det: np.ndarray
-    regular: np.ndarray
-
-    def cond(self) -> np.ndarray:
-        """Condition number of every row's F."""
-        return _cond_2x2(self.f11, self.f12, self.f22)
+def _quad(f, lo: float, hi: float) -> float:
+    out = integrate.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
+                         limit=200, full_output=1)
+    result, abserr = out[0], out[1]
+    if len(out) > 3:  # quadpack warning message present
+        if not np.isfinite(result) or abserr > max(1e-7, 1e-6 * abs(result)):
+            raise QuadratureError(f"quadrature failed on ({lo}, {hi}): {out[3]}")
+    return result
 
 
-def _cond_2x2(f11, f12, f22):
-    # symmetric 2x2: eigenvalues 0.5 * (tr +- disc); with t = |tr| their
-    # magnitudes are exactly 0.5 * (t + disc) >= |0.5 * (t - disc)|
-    t = np.abs(f11 + f22)
-    disc = np.sqrt((f11 - f22) ** 2 + 4.0 * f12 * f12)
-    lo = np.abs(0.5 * (t - disc))
-    return np.where(lo > 0.0, 0.5 * (t + disc) / lo, np.inf)
+def quadrature_moment(density, q: float, support: tuple[float, float],
+                      center: float | None = None, signed: bool = False,
+                      check_density: bool = True) -> float:
+    """Adaptive quadrature of |x - c|^q * f(x), split at the center.
 
-
-def system_rows(m: MomentRows) -> SystemRows:
-    """Assemble and solve F h = b for every row of a moment batch.  A row
-    whose determinant is not finite (non-finite moments, or finite ones whose
-    products overflow) is singular; call it under np.errstate, since
-    singular rows divide by a zero determinant."""
-    f11, nu_pm1, f12, nu_2p, sigma_p = m.values
-    f22 = nu_2p - sigma_p**2
-    b2 = m.p * nu_pm1
-    det = f11 * f22 - f12 * f12
-    regular = np.isfinite(det) & (np.abs(det) >= DET_THRESHOLD)
-    # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
-    # rows where that bound is not 4x under COND_CAP (rounding moves cond by
-    # far less) need their condition number to settle cond > COND_CAP.  A
-    # NaN cond (entries whose squares overflow) does not exceed it
-    tr = f11 + f22
-    if np.count_nonzero(tr * tr < 0.25 * COND_CAP * det) < det.size:
-        regular &= ~(_cond_2x2(f11, f12, f22) > COND_CAP)
-    h1 = (f22 - f12 * b2) / det  # b1 = 1
-    h2 = (f11 * b2 - f12) / det
-    return SystemRows(f11, f12, f22, b2, h1, h2, det, regular)
-
-
-def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
-    """Assemble and solve the 2x2 weight system F h = b.
-
-    F = [[c2, nu_{p+1}], [nu_{p+1}, nu_{2p} - sigma_p^2]] and
-    b = (1, p * nu_{p-1}); raises SingularSystem when the determinant is not
-    finite or falls under DET_THRESHOLD, or conditioning exceeds COND_CAP.
+    ``center=None`` locates c at the density's own mean.  ``signed=True``
+    weights the two halves by sign(x - c).  The split keeps the q < 0 cusp at
+    an interval endpoint where the integrator handles it.  An order q <= -1
+    raises NonFiniteMoment where the integral diverges at the center: where
+    the density is positive there, as abs_moment does, and where a half
+    comes out negative.  Both halves integrate a function >= 0, and for a
+    divergent integral QUADPACK's extrapolation returns the analytic
+    continuation, a finite negative number with a small error estimate.
     """
-    m.require_finite()
-    with np.errstate(all="ignore"):
-        s = system_rows(m.rows())
-        cond = float(s.cond()[0])
-    if not s.regular[0]:
-        raise SingularSystem(f"det={s.det[0]:.3e}, cond={cond:.3e}")
-    f11, f12, f22, b2, h1, h2, det = (float(v[0]) for v in s[:-1])
-    return CorrelantSystem(f11, f12, f22, 1.0, b2, h1, h2, det, cond)
+    lo, hi = support
+    if check_density:
+        mid = center if center is not None else 0.5 * (max(lo, -1.0) + min(hi, 1.0))
+        mass = _quad(density, lo, mid) + _quad(density, mid, hi)
+        if abs(mass - 1.0) > 1e-8:
+            raise ValueError(f"density integrates to {mass}, not 1")
+    if center is None:
+        c = _quad(lambda x: x * density(x), lo, hi)
+    else:
+        c = center
+    if q <= -1.0 and density(c) > 0.0:
+        raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
+    right = _quad(lambda x: abs(x - c) ** q * density(x), c, hi)
+    left = _quad(lambda x: abs(x - c) ** q * density(x), lo, c)
+    total = right - left if signed else right + left
+    if not np.isfinite(total) or (q <= -1.0 and min(right, left) < 0.0):
+        raise NonFiniteMoment(f"order-{q} moment is not finite")
+    return total
 
+
+# ---------------------------------------------------------------------------
+# theoretical moments
+# ---------------------------------------------------------------------------
+
+def abs_moment(spec: DistributionSpec, q: float) -> float:
+    """E|X - mu|^q about the theoretical center, closed form where known."""
+    fam, s = spec.family, spec.scale
+    if fam == "cauchy":
+        if q >= 1.0:
+            raise NonFiniteMoment(f"cauchy absolute moment of order {q} diverges")
+        if q <= -1.0:
+            raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
+        return 1.0 / math.cos(math.pi * q / 2.0)
+    if q <= -1.0:
+        raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
+    if fam == "laplace":
+        return s**q * special.gamma(q + 1.0)
+    if fam == "gaussian":
+        return 2.0 ** (q / 2.0) * special.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
+    if fam == "gg":
+        beta = spec.shape[0]
+        return s**q * special.gamma((q + 1.0) / beta) / special.gamma(1.0 / beta)
+    if fam == "uniform":
+        return s**q / (q + 1.0)
+    if fam == "arcsine":
+        return s**q * special.gamma((q + 1.0) / 2.0) \
+            / (math.sqrt(math.pi) * special.gamma(q / 2.0 + 1.0))
+    if fam == "triangular":
+        return 2.0 * s**q / ((q + 1.0) * (q + 2.0))
+    # beta law: no convenient closed form for fractional orders
+    return quadrature_moment(spec.quadrature_density, q, spec.support,
+                             center=spec.true_location, check_density=False)
+
+
+def signed_moment(spec: DistributionSpec, q: float) -> float:
+    """E[sign(X - mu) |X - mu|^q]; exactly zero for symmetric families."""
+    if spec.symmetric:
+        return 0.0
+    return quadrature_moment(spec.quadrature_density, q, spec.support,
+                             center=spec.true_location, signed=True,
+                             check_density=False)
+
+
+def theoretical_moments(spec: DistributionSpec, p: float) -> FractionalMomentSet:
+    """Population moment set at exponent p.
+
+    Raises NonFiniteMoment when a required order diverges (cauchy always
+    fails through its second moment).
+    """
+    if not 0.0 < p < math.inf:  # False for NaN
+        raise ValueError(f"p must be finite and > 0, got {p}")
+    return theoretical_set(spec, p, abs_moment(spec, 2.0))
+
+
+def theoretical_set(spec: DistributionSpec, p: float,
+                    c2: float) -> FractionalMomentSet:
+    """theoretical_moments at exponent p, unchecked, with c2 = E|X - mu|^2
+    given: a sweep over exponents computes c2 once (one quadrature for the
+    beta law)."""
+    return FractionalMomentSet(
+        p=p,
+        c2=c2,
+        nu_pm1=abs_moment(spec, p - 1.0),
+        nu_pp1=abs_moment(spec, p + 1.0),
+        nu_2p=abs_moment(spec, 2.0 * p),
+        sigma_p=signed_moment(spec, p),
+    )
+
+
+# ---------------------------------------------------------------------------
+# variance-reduction ratio
+# ---------------------------------------------------------------------------
 
 def _g2_terms(m: MomentRows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ratio, denominator, 0/0 collapse) of every row of a moment batch;

@@ -4,23 +4,25 @@ Three routes with a fixed fallback order: the full two-weight solver (a
 one-step linearization that re-solves the weight system at each updated
 center), the scalar signed-power root as proxy whenever that system is
 unusable, and the sample mean inside the protected band around alpha = 1/2.
+The full solver's 2x2 weight system is assembled and solved here too
+(system_rows, build_correlant_system).  This module imports numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .baselines import mean_rows, median_rows
 from .basis import ESTIMATOR_BAND, alpha_list, basis_value, second_exponent
-# build_correlant_system and empirical_moments are no longer called here;
-# perfbench/tracer.py binds them through this module
-from .efficiency import build_correlant_system, system_rows  # noqa: F401
 from .errors import BracketFailure, FracmomError, NonFiniteMoment, \
-    float_array, non_finite_errors, row_blocks, sample_rows
-from .moments import MomentRows, moment_sums
+    SingularSystem, float_array, non_finite_errors, row_blocks, sample_rows
+from .moments import FractionalMomentSet, MomentRows, moment_sums
+# empirical_moments is no longer called here; perfbench/tracer.py binds it
+# through this module
 from .moments import empirical_moments  # noqa: F401
 
 METHOD_FULL = "full"
@@ -36,6 +38,8 @@ BRACKET_EXPANSION = 10.0  # initial proxy half-bracket, in robust scales
 BRENT_XTOL = 1e-12
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAX_ITERS = 100
+DET_THRESHOLD = 1e-14  # smallest |det| of a weight system that is solved
+COND_CAP = 1e10  # largest condition number of a weight system that is solved
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,88 @@ class EstimateRows:
                               self.outer_iters.item(r),
                               self.final_step.item(r), self.cond_last.item(r),
                               self.det_last.item(r), self.converged.item(r))
+
+
+@dataclass(frozen=True)
+class CorrelantSystem:
+    """Symmetric 2x2 moment matrix, target vector, and solved weights."""
+
+    f11: float
+    f12: float
+    f22: float
+    b1: float
+    b2: float
+    h1: float
+    h2: float
+    det: float
+    cond: float
+
+
+class SystemRows(NamedTuple):
+    """The weight systems of M moment rows: each field is an (M,) array named
+    as in CorrelantSystem (b1 is 1 in every row), plus ``regular``, the rows
+    that build_correlant_system does not refuse as singular."""
+
+    f11: np.ndarray
+    f12: np.ndarray
+    f22: np.ndarray
+    b2: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    det: np.ndarray
+    regular: np.ndarray
+
+    def cond(self) -> np.ndarray:
+        """Condition number of every row's F."""
+        return _cond_2x2(self.f11, self.f12, self.f22)
+
+
+def _cond_2x2(f11, f12, f22):
+    # symmetric 2x2: eigenvalues 0.5 * (tr +- disc); with t = |tr| their
+    # magnitudes are exactly 0.5 * (t + disc) >= |0.5 * (t - disc)|
+    t = np.abs(f11 + f22)
+    disc = np.sqrt((f11 - f22) ** 2 + 4.0 * f12 * f12)
+    lo = np.abs(0.5 * (t - disc))
+    return np.where(lo > 0.0, 0.5 * (t + disc) / lo, np.inf)
+
+
+def system_rows(m: MomentRows) -> SystemRows:
+    """Assemble and solve F h = b for every row of a moment batch.  A row
+    whose determinant is not finite (non-finite moments, or finite ones whose
+    products overflow) is singular; call it under np.errstate, since
+    singular rows divide by a zero determinant."""
+    f11, nu_pm1, f12, nu_2p, sigma_p = m.values
+    f22 = nu_2p - sigma_p**2
+    b2 = m.p * nu_pm1
+    det = f11 * f22 - f12 * f12
+    regular = np.isfinite(det) & (np.abs(det) >= DET_THRESHOLD)
+    # with det > 0 the eigenvalues share a sign, so cond <= tr^2 / det; only
+    # rows where that bound is not 4x under COND_CAP (rounding moves cond by
+    # far less) need their condition number to settle cond > COND_CAP.  A
+    # NaN cond (entries whose squares overflow) does not exceed it
+    tr = f11 + f22
+    if np.count_nonzero(tr * tr < 0.25 * COND_CAP * det) < det.size:
+        regular &= ~(_cond_2x2(f11, f12, f22) > COND_CAP)
+    h1 = (f22 - f12 * b2) / det  # b1 = 1
+    h2 = (f11 * b2 - f12) / det
+    return SystemRows(f11, f12, f22, b2, h1, h2, det, regular)
+
+
+def build_correlant_system(m: FractionalMomentSet) -> CorrelantSystem:
+    """Assemble and solve the 2x2 weight system F h = b.
+
+    F = [[c2, nu_{p+1}], [nu_{p+1}, nu_{2p} - sigma_p^2]] and
+    b = (1, p * nu_{p-1}); raises SingularSystem when the determinant is not
+    finite or falls under DET_THRESHOLD, or conditioning exceeds COND_CAP.
+    """
+    m.require_finite()
+    with np.errstate(all="ignore"):
+        s = system_rows(m.rows())
+        cond = float(s.cond()[0])
+    if not s.regular[0]:
+        raise SingularSystem(f"det={s.det[0]:.3e}, cond={cond:.3e}")
+    f11, f12, f22, b2, h1, h2, det = (float(v[0]) for v in s[:-1])
+    return CorrelantSystem(f11, f12, f22, 1.0, b2, h1, h2, det, cond)
 
 
 def _mad(x: np.ndarray, med: np.ndarray) -> np.ndarray:

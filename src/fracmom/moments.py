@@ -1,8 +1,8 @@
-"""Absolute and signed fractional moments of residuals.
+"""Absolute and signed fractional moments of residuals: the sample plug-ins
+(optionally winsorized) and the moment set that feeds the weight system.
 
-Three routes to the same quantities: sample plug-ins (optionally winsorized),
-gamma-function closed forms for the analytic families, and an adaptive
-quadrature oracle used as ground truth for everything else.
+The population moments of the same set, closed form or by quadrature, are
+in ``efficiency``; this module imports numpy only.
 """
 
 from __future__ import annotations
@@ -12,14 +12,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
 
-from .distributions import DistributionSpec
-from .errors import NonFiniteMoment, QuadratureError, real_value, \
-    row_blocks, sample_row
-
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-8
+from .errors import NonFiniteMoment, real_value, row_blocks, sample_row
 
 
 @dataclass(frozen=True)
@@ -165,120 +159,3 @@ def empirical_moments(sample, center: float, p: float,
         if winsor_fraction > 0.0:
             winsorize_rows(xi, winsor_fraction)
         return moment_rows(xi, (p,), zero_floor)[0].row(0)
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracle
-# ---------------------------------------------------------------------------
-
-def _quad(f, lo: float, hi: float) -> float:
-    out = integrate.quad(f, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
-                         limit=200, full_output=1)
-    result, abserr = out[0], out[1]
-    if len(out) > 3:  # quadpack warning message present
-        if not np.isfinite(result) or abserr > max(1e-7, 1e-6 * abs(result)):
-            raise QuadratureError(f"quadrature failed on ({lo}, {hi}): {out[3]}")
-    return result
-
-
-def quadrature_moment(density, q: float, support: tuple[float, float],
-                      center: float | None = None, signed: bool = False,
-                      check_density: bool = True) -> float:
-    """Adaptive quadrature of |x - c|^q * f(x), split at the center.
-
-    ``center=None`` locates c at the density's own mean.  ``signed=True``
-    weights the two halves by sign(x - c).  The split keeps the q < 0 cusp at
-    an interval endpoint where the integrator handles it.  An order q <= -1
-    raises NonFiniteMoment where the integral diverges at the center: where
-    the density is positive there, as abs_moment does, and where a half
-    comes out negative.  Both halves integrate a function >= 0, and for a
-    divergent integral QUADPACK's extrapolation returns the analytic
-    continuation, a finite negative number with a small error estimate.
-    """
-    lo, hi = support
-    if check_density:
-        mid = center if center is not None else 0.5 * (max(lo, -1.0) + min(hi, 1.0))
-        mass = _quad(density, lo, mid) + _quad(density, mid, hi)
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"density integrates to {mass}, not 1")
-    if center is None:
-        c = _quad(lambda x: x * density(x), lo, hi)
-    else:
-        c = center
-    if q <= -1.0 and density(c) > 0.0:
-        raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
-    right = _quad(lambda x: abs(x - c) ** q * density(x), c, hi)
-    left = _quad(lambda x: abs(x - c) ** q * density(x), lo, c)
-    total = right - left if signed else right + left
-    if not np.isfinite(total) or (q <= -1.0 and min(right, left) < 0.0):
-        raise NonFiniteMoment(f"order-{q} moment is not finite")
-    return total
-
-
-# ---------------------------------------------------------------------------
-# theoretical moments
-# ---------------------------------------------------------------------------
-
-def abs_moment(spec: DistributionSpec, q: float) -> float:
-    """E|X - mu|^q about the theoretical center, closed form where known."""
-    fam, s = spec.family, spec.scale
-    if fam == "cauchy":
-        if q >= 1.0:
-            raise NonFiniteMoment(f"cauchy absolute moment of order {q} diverges")
-        if q <= -1.0:
-            raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
-        return 1.0 / math.cos(math.pi * q / 2.0)
-    if q <= -1.0:
-        raise NonFiniteMoment(f"order {q} <= -1 diverges at the center")
-    if fam == "laplace":
-        return s**q * special.gamma(q + 1.0)
-    if fam == "gaussian":
-        return 2.0 ** (q / 2.0) * special.gamma((q + 1.0) / 2.0) / math.sqrt(math.pi)
-    if fam == "gg":
-        beta = spec.shape[0]
-        return s**q * special.gamma((q + 1.0) / beta) / special.gamma(1.0 / beta)
-    if fam == "uniform":
-        return s**q / (q + 1.0)
-    if fam == "arcsine":
-        return s**q * special.gamma((q + 1.0) / 2.0) \
-            / (math.sqrt(math.pi) * special.gamma(q / 2.0 + 1.0))
-    if fam == "triangular":
-        return 2.0 * s**q / ((q + 1.0) * (q + 2.0))
-    # beta law: no convenient closed form for fractional orders
-    return quadrature_moment(spec.quadrature_density, q, spec.support,
-                             center=spec.true_location, check_density=False)
-
-
-def signed_moment(spec: DistributionSpec, q: float) -> float:
-    """E[sign(X - mu) |X - mu|^q]; exactly zero for symmetric families."""
-    if spec.symmetric:
-        return 0.0
-    return quadrature_moment(spec.quadrature_density, q, spec.support,
-                             center=spec.true_location, signed=True,
-                             check_density=False)
-
-
-def theoretical_moments(spec: DistributionSpec, p: float) -> FractionalMomentSet:
-    """Population moment set at exponent p.
-
-    Raises NonFiniteMoment when a required order diverges (cauchy always
-    fails through its second moment).
-    """
-    if not 0.0 < p < math.inf:  # False for NaN
-        raise ValueError(f"p must be finite and > 0, got {p}")
-    return theoretical_set(spec, p, abs_moment(spec, 2.0))
-
-
-def theoretical_set(spec: DistributionSpec, p: float,
-                    c2: float) -> FractionalMomentSet:
-    """theoretical_moments at exponent p, unchecked, with c2 = E|X - mu|^2
-    given: a sweep over exponents computes c2 once (one quadrature for the
-    beta law)."""
-    return FractionalMomentSet(
-        p=p,
-        c2=c2,
-        nu_pm1=abs_moment(spec, p - 1.0),
-        nu_pp1=abs_moment(spec, p + 1.0),
-        nu_2p=abs_moment(spec, 2.0 * p),
-        sigma_p=signed_moment(spec, p),
-    )

@@ -9,6 +9,7 @@ cell sees the same samples (required for the variance-ratio columns).
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -18,17 +19,16 @@ import numpy as np
 from .baselines import baseline_rows, mean_rows
 from .basis import alpha_list, second_exponent
 from .distributions import DistributionSpec, parse_spec, sample_block
-from .efficiency import g2_closed_form
+from .efficiency import abs_moment, g2_closed_form, theoretical_set
 from .errors import FracmomError, integer_value
 from .estimators import estimate_full_grid, estimate_proxy_grid
-from .moments import abs_moment, theoretical_set
 # estimate_full, estimate_proxy, run_baseline, sample and theoretical_moments
 # are no longer called here; perfbench/tracer.py binds them through this
 # module
 from .baselines import run_baseline  # noqa: F401
 from .distributions import sample  # noqa: F401
+from .efficiency import theoretical_moments  # noqa: F401
 from .estimators import estimate_full, estimate_proxy  # noqa: F401
-from .moments import theoretical_moments  # noqa: F401
 
 WORKERS_ENV = "FRACMOM_WORKERS"
 MC_ESTIMATORS = ("ols", "proxy", "full")
@@ -49,8 +49,14 @@ class McDesign:
     estimators: tuple[str, ...] = MC_ESTIMATORS
 
     def __post_init__(self):
-        for name in ("distributions", "n_values", "estimators"):
-            if not np.iterable(getattr(self, name)):
+        # an iterator would be drained by the checks below, a set has no
+        # order, a string's items are characters and a 0-d array has none
+        for name in ("distributions", "n_values", "alpha_values",
+                     "estimators"):
+            v = getattr(self, name)
+            if (not isinstance(v, (Sequence, np.ndarray))
+                    or isinstance(v, (str, bytes, bytearray))
+                    or getattr(v, "ndim", 1) == 0):
                 raise ValueError(f"{name} must be a sequence")
         odd = [d for d in self.distributions
                if not isinstance(d, DistributionSpec)]

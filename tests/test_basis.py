@@ -59,6 +59,39 @@ class TestExponent:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             exponent(0, 0.3)
+        # NaN returned NaN, 2.5 a value and "2" a raw TypeError; the basis
+        # values and collision roots took them too
+        for i in (math.nan, math.inf, 2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="basis index"):
+                exponent(i, 0.3)
+            with pytest.raises(ValueError, match="basis index"):
+                basis_value(i, 0.3, [1.0, -2.0])
+            with pytest.raises(ValueError, match="basis index"):
+                collision_roots(i, 3)
+            with pytest.raises(ValueError, match="basis index"):
+                collision_roots(3, i)
+        for i in (0, -1):
+            with pytest.raises(ValueError, match="basis index"):
+                basis_value(i, 0.5, [1.0, -2.0])
+        assert exponent(np.int64(3), 0.3) == exponent(3, 0.3)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
+                                       "0.3", b"0.3", None, 1j])
+    def test_alpha_must_be_a_finite_real(self, alpha):
+        # NaN and inf returned NaN or inf, also through the identity
+        # shortcut of basis_value, and "0.3" was parsed
+        for f in (lambda: exponent(2, alpha), lambda: exponent(1, alpha),
+                  lambda: exponent(3, alpha), lambda: second_exponent(alpha),
+                  lambda: basis_value(2, alpha, [1.0, -2.0, 0.0]),
+                  lambda: basis_value(1, alpha, [1.0, -2.0, 0.0])):
+            with pytest.raises(ValueError, match="alpha"):
+                f()
+
+    def test_any_finite_real_alpha(self):
+        # the quadratic extends beyond [0, 1], as documented
+        assert second_exponent(-1.0) == 1.0
+        assert exponent(2, 3) == second_exponent(np.float32(3.0)) == 11.0
+        assert basis_value(2, -2, 2.0) == 2.0 ** 3.5
 
 
 class TestCollisionRoots:

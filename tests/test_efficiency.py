@@ -22,7 +22,8 @@ from fracmom import (
     second_exponent,
     theoretical_moments,
 )
-from fracmom.efficiency import g2_rows, system_rows
+from fracmom.efficiency import g2_rows
+from fracmom.estimators import system_rows
 
 LAPLACE_RAW = parse_spec("laplace", standardized=False)
 BAND_REFUSED = "band must be finite, >= 0 and leave a point of the alpha grid"

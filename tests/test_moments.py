@@ -478,7 +478,7 @@ class TestTheoreticalMoments:
             orders.append(q)
             return abs_moment(spec, q)
 
-        for module in (moments, efficiency, montecarlo):
+        for module in (efficiency, montecarlo):
             monkeypatch.setattr(module, "abs_moment", counted)
         curve = calibrate_oracle(parse_spec("beta:2:5")).curve
         assert len(orders) == 61 and orders[0] == 2.0

@@ -21,7 +21,7 @@ from fracmom import (
     write_baseline_csv,
     write_mc_csv,
 )
-from fracmom import moments, montecarlo
+from fracmom import efficiency, montecarlo
 
 SMALL = McDesign((parse_spec("laplace"), parse_spec("beta:2:5")), (40, 80),
                  (0.05, 0.95), replicates=60, base_seed=99)
@@ -84,7 +84,7 @@ class TestRunMc:
             orders.append(q)
             return abs_moment(spec, q)
 
-        for module in (moments, montecarlo):
+        for module in (efficiency, montecarlo):
             monkeypatch.setattr(module, "abs_moment", counted)
         records = run_mc(replace(SMALL, n_values=(40,), replicates=2))
         # per distribution: c2, then three orders at each of the 2 alphas
@@ -127,15 +127,29 @@ class TestDesignValidation:
             McDesign(dists, (10,), (0.05,), replicates=2)
 
     @pytest.mark.parametrize("field", ["distributions", "n_values",
-                                       "estimators"])
-    @pytest.mark.parametrize("value", [None, 3, np.array(10)])
+                                       "estimators", "alpha_values"])
+    @pytest.mark.parametrize("value", [None, 3, np.array(10), "generator",
+                                       "iterator", {10, 20}, "10"])
     def test_fields_must_be_iterable(self, field, value):
-        # they failed with a raw TypeError, "object is not iterable"
+        # None, 3 and the 0-d array failed with a raw TypeError, "object is
+        # not iterable"; a generator or an iterator was drained by the
+        # checks, so that run_mc raised a raw TypeError or ran no cell
         fields = dict(distributions=(parse_spec("laplace"),), n_values=(10,),
-                      alpha_values=(0.05,), replicates=2)
+                      alpha_values=(0.05,), replicates=2, estimators=("ols",))
+        if value == "generator":
+            value = (v for v in fields[field])
+        elif value == "iterator":
+            value = iter(fields[field])
         fields[field] = value
         with pytest.raises(ValueError, match=f"{field} must be a sequence"):
             McDesign(**fields)
+
+    def test_sequences_and_arrays_accepted(self):
+        laplace = parse_spec("laplace")
+        for n_values, alpha_values in (([10, 20], range(0, 1)),
+                                       (np.array([10, 20]), np.array([0.05]))):
+            design = McDesign([laplace], n_values, alpha_values, replicates=2)
+            assert len(run_mc(design)) == 2 * (1 + 2 * len(alpha_values))
 
     def test_sample_size_below_one_rejected(self):
         laplace = (parse_spec("laplace"),)
